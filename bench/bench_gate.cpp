@@ -14,10 +14,11 @@
 //    ratios instead of raw seconds makes the baselines roughly
 //    machine-independent; each evaluation also performs a fixed amount of
 //    arithmetic so host-wide slowdowns cancel out of the ratio.
-//  * evals/sec ratio — for the server workload only: event-loop+pipelined
-//    throughput over legacy+blocking throughput (bench/server_load.hpp).
-//    Machine-portable for the same reason ratios are above; it must not
-//    drop below its baseline by more than --speedup-tol.
+//  * evals/sec ratio — for the server workload only: pipelined-client
+//    throughput over blocking-client throughput against the same event-loop
+//    server (bench/server_load.hpp). Machine-portable for the same reason
+//    ratios are above; it must not drop below its baseline by more than
+//    --speedup-tol.
 //  * p99/p50 latency ratio — for the latency workload only: tail over median
 //    per-request latency of the pipelined server under gate-sized load. A
 //    ratio (not raw milliseconds) so the check survives host speed
@@ -320,27 +321,25 @@ obs::BenchReport run_gate_server_throughput(int reps) {
   load.evals = 100;
   load.window = 8;
   load.reactors = 2;
-  const auto epoll = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kEventLoop,
-                                    /*pipelined=*/true, load);
+  const auto pipelined = harmony::bench::best_of(reps, [&] {
+    return harmony::bench::run_load(/*pipelined=*/true, load);
   });
-  const auto legacy = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kLegacy,
-                                    /*pipelined=*/false, load);
+  const auto blocking = harmony::bench::best_of(reps, [&] {
+    return harmony::bench::run_load(/*pipelined=*/false, load);
   });
 
   obs::BenchReport report;
   report.name = "gate_server_throughput";
-  report.evaluations = static_cast<int>(epoll.evals + legacy.evals);
-  report.wall_s = epoll.wall_s + legacy.wall_s;
-  report.speedup = legacy.evals_per_s() > 0.0
-                       ? epoll.evals_per_s() / legacy.evals_per_s()
+  report.evaluations = static_cast<int>(pipelined.evals + blocking.evals);
+  report.wall_s = pipelined.wall_s + blocking.wall_s;
+  report.speedup = blocking.evals_per_s() > 0.0
+                       ? pipelined.evals_per_s() / blocking.evals_per_s()
                        : 0.0;
   report.metrics["evals_per_s_ratio"] = report.speedup;
-  report.metrics["epoll_evals_per_s"] = epoll.evals_per_s();
-  report.metrics["legacy_evals_per_s"] = legacy.evals_per_s();
-  report.metrics["epoll_p99_ms"] = epoll.p99_ms;
-  report.metrics["legacy_p99_ms"] = legacy.p99_ms;
+  report.metrics["pipelined_evals_per_s"] = pipelined.evals_per_s();
+  report.metrics["blocking_evals_per_s"] = blocking.evals_per_s();
+  report.metrics["pipelined_p99_ms"] = pipelined.p99_ms;
+  report.metrics["blocking_p99_ms"] = blocking.p99_ms;
   return report;
 }
 
@@ -355,8 +354,7 @@ obs::BenchReport run_gate_server_latency(int reps) {
   // Best run by throughput: the quietest rep, so its tail is protocol cost,
   // not scheduler noise.
   const auto best = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kEventLoop,
-                                    /*pipelined=*/true, load);
+    return harmony::bench::run_load(/*pipelined=*/true, load);
   });
 
   obs::BenchReport report;

@@ -3,16 +3,17 @@
 /// \file server_load.hpp
 /// Shared load generator for the tuning server's network stack, used by
 /// bench/server_throughput (the full benchmark) and bench/bench_gate (a
-/// gate-sized run whose epoll/legacy evals-per-second ratio is tracked
+/// gate-sized run whose pipelined/blocking evals-per-second ratio is tracked
 /// against a checked-in baseline).
 ///
-/// Two client harnesses:
-///  * run_load(kEventLoop, pipelined=true)  — all K connections multiplexed
-///    over a few poll()-driven threads, each connection keeping a window of
-///    pipelined REPORT+FETCH lines in flight (the event-driven steady state).
-///  * run_load(kLegacy, pipelined=false)    — one blocking client thread per
-///    connection running the classic FETCH -> REPORT exchange against the
-///    thread-per-connection server (the pre-event-loop deployment).
+/// Two client harnesses, both against a fresh event-loop server:
+///  * run_load(pipelined=true)  — all K connections multiplexed over a few
+///    poll()-driven threads, each connection keeping a window of pipelined
+///    REPORT+FETCH lines in flight (the steady state the server is built
+///    for).
+///  * run_load(pipelined=false) — one blocking client thread per connection
+///    running the classic FETCH -> REPORT exchange: two round trips per
+///    evaluation, one at a time.
 
 #include <poll.h>
 #include <sys/resource.h>
@@ -285,13 +286,11 @@ inline double latency_percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// One timed run: fresh server in `mode`, opt.clients sessions of opt.evals
+/// One timed run: fresh server, opt.clients sessions of opt.evals
 /// evaluations each, pipelined-multiplexed or blocking-thread-per-connection
 /// clients.
-inline LoadResult run_load(ServerThreading mode, bool pipelined,
-                           const LoadOptions& opt) {
+inline LoadResult run_load(bool pipelined, const LoadOptions& opt) {
   ServerOptions sopts;
-  sopts.threading = mode;
   sopts.reactor_threads = opt.reactors;
   sopts.tracer = opt.tracer;
   sopts.slow_request_us = opt.slow_request_us;
@@ -609,7 +608,6 @@ inline LoadResult run_storm(const StormOptions& opt) {
   if (o.total_sessions < o.sessions) o.total_sessions = o.sessions;
 
   ServerOptions sopts;
-  sopts.threading = ServerThreading::kEventLoop;
   sopts.reactor_threads = o.reactors;
   sopts.max_pending_out_bytes = o.per_conn_out_cap;
   sopts.idle_timeout_ms = o.idle_timeout_ms;

@@ -2,18 +2,16 @@
 //
 // Spawns K client sessions against a fresh in-process TuningServer; each
 // session registers two parameters and completes M evaluations, then the
-// whole exercise is timed. Two configurations are compared (see
-// bench/server_load.hpp for the harnesses):
+// whole exercise is timed. Two client configurations are compared against
+// the same event-loop server (see bench/server_load.hpp for the harnesses):
 //
-//  * epoll     — ServerThreading::kEventLoop, all K connections multiplexed
-//                over a couple of poll()-driven client threads that pipeline
-//                REPORT+FETCH with a send window of W lines per connection
-//                (the steady state the event-driven stack is built for).
-//  * legacy    — ServerThreading::kLegacy (one blocking thread per
-//                connection) driven by one blocking client thread per
-//                connection running the classic FETCH -> REPORT exchange:
-//                two round trips, four syscalls, and two scheduled threads
-//                per evaluation — the pre-event-loop deployment.
+//  * pipelined — all K connections multiplexed over a couple of
+//                poll()-driven client threads that pipeline REPORT+FETCH
+//                with a send window of W lines per connection (the steady
+//                state the server is built for).
+//  * blocking  — one blocking client thread per connection running the
+//                classic FETCH -> REPORT exchange: two round trips and four
+//                syscalls per evaluation, one evaluation at a time.
 //
 // A second, single-client experiment isolates the wire-protocol win: one
 // TuningClient tuning synchronously via report_and_fetch() (one round trip
@@ -23,9 +21,10 @@
 // Results go to stdout and to BENCH_server_throughput.json
 // (ah-bench-report/1): sessions/sec, evals/sec, p50/p95/p99 per-request
 // latency for each configuration, plus the two headline ratios
-// (`speedup` = pipelined-epoll over legacy evals/s, and `rf_speedup`). The
-// CI bench-smoke job runs a small K x M and uploads the report; bench_gate
-// tracks the epoll/legacy ratio against a baseline on a gate-sized workload.
+// (`speedup` = pipelined over blocking evals/s, and `rf_speedup`). The CI
+// bench-smoke job runs a small K x M and uploads the report; bench_gate
+// tracks the pipelined/blocking ratio against a baseline on a gate-sized
+// workload.
 //
 // --trace-sample F + --trace-out FILE turn on end-to-end request tracing for
 // the pipelined run: F of the REPORT+FETCH lines carry a wire trace token,
@@ -97,7 +96,7 @@ int usage(const char* argv0) {
       "          [--reps R] [--out DIR] [--trace-sample F]\n"
       "          [--trace-out FILE] [--slow-us N]\n\n"
       "Measures tuning-server throughput: K concurrent clients x M\n"
-      "evaluations each, event-loop+pipelined vs legacy+blocking, plus a\n"
+      "evaluations each, pipelined vs blocking clients, plus a\n"
       "single-client REPORT+FETCH vs FETCH/REPORT comparison. Writes\n"
       "BENCH_server_throughput.json into --out. --trace-sample F samples F\n"
       "of the pipelined requests into spans written to --trace-out FILE;\n"
@@ -150,30 +149,31 @@ int main(int argc, char** argv) {
               opt.load.clients, opt.load.evals, opt.load.window,
               opt.load.reactors);
 
-  const auto epoll = bench::best_of(opt.reps, [&] {
-    return bench::run_load(harmony::ServerThreading::kEventLoop,
-                           /*pipelined=*/true, opt.load);
+  const auto pipelined = bench::best_of(opt.reps, [&] {
+    return bench::run_load(/*pipelined=*/true, opt.load);
   });
-  std::printf("epoll+pipelined: %llu evals in %.3f s -> %.0f evals/s, "
+  std::printf("pipelined: %llu evals in %.3f s -> %.0f evals/s, "
               "%.1f sessions/s, p50 %.3f ms, p99 %.3f ms (%d/%d completed)\n",
-              static_cast<unsigned long long>(epoll.evals), epoll.wall_s,
-              epoll.evals_per_s(), epoll.sessions_per_s(), epoll.p50_ms,
-              epoll.p99_ms, epoll.sessions_completed, opt.load.clients);
+              static_cast<unsigned long long>(pipelined.evals),
+              pipelined.wall_s, pipelined.evals_per_s(),
+              pipelined.sessions_per_s(), pipelined.p50_ms, pipelined.p99_ms,
+              pipelined.sessions_completed, opt.load.clients);
 
-  const auto legacy = bench::best_of(opt.reps, [&] {
-    return bench::run_load(harmony::ServerThreading::kLegacy,
-                           /*pipelined=*/false, opt.load);
+  const auto blocking = bench::best_of(opt.reps, [&] {
+    return bench::run_load(/*pipelined=*/false, opt.load);
   });
-  std::printf("legacy+blocking: %llu evals in %.3f s -> %.0f evals/s, "
+  std::printf("blocking:  %llu evals in %.3f s -> %.0f evals/s, "
               "%.1f sessions/s, p50 %.3f ms, p99 %.3f ms (%d/%d completed)\n",
-              static_cast<unsigned long long>(legacy.evals), legacy.wall_s,
-              legacy.evals_per_s(), legacy.sessions_per_s(), legacy.p50_ms,
-              legacy.p99_ms, legacy.sessions_completed, opt.load.clients);
+              static_cast<unsigned long long>(blocking.evals), blocking.wall_s,
+              blocking.evals_per_s(), blocking.sessions_per_s(),
+              blocking.p50_ms, blocking.p99_ms, blocking.sessions_completed,
+              opt.load.clients);
 
   const double pipeline_speedup =
-      legacy.evals_per_s() > 0.0 ? epoll.evals_per_s() / legacy.evals_per_s()
-                                 : 0.0;
-  std::printf("pipeline speedup (epoll/legacy evals/s): %.2fx\n",
+      blocking.evals_per_s() > 0.0
+          ? pipelined.evals_per_s() / blocking.evals_per_s()
+          : 0.0;
+  std::printf("pipeline speedup (pipelined/blocking evals/s): %.2fx\n",
               pipeline_speedup);
 
   // The single-client runs are short, so the two sides of the ratio are
@@ -203,24 +203,24 @@ int main(int argc, char** argv) {
   report.name = "server_throughput";
   report.best_config = "";
   report.best_value = 0.0;
-  report.evaluations = static_cast<int>(epoll.evals + legacy.evals);
+  report.evaluations = static_cast<int>(pipelined.evals + blocking.evals);
   report.evals_to_best = 0;
-  report.wall_s = epoll.wall_s + legacy.wall_s;
+  report.wall_s = pipelined.wall_s + blocking.wall_s;
   report.speedup = pipeline_speedup;
   report.metrics["clients"] = opt.load.clients;
   report.metrics["evals_per_client"] = opt.load.evals;
   report.metrics["window"] = opt.load.window;
   report.metrics["reactors"] = opt.load.reactors;
-  report.metrics["epoll_evals_per_s"] = epoll.evals_per_s();
-  report.metrics["epoll_sessions_per_s"] = epoll.sessions_per_s();
-  report.metrics["epoll_p50_ms"] = epoll.p50_ms;
-  report.metrics["epoll_p95_ms"] = epoll.p95_ms;
-  report.metrics["epoll_p99_ms"] = epoll.p99_ms;
-  report.metrics["legacy_evals_per_s"] = legacy.evals_per_s();
-  report.metrics["legacy_sessions_per_s"] = legacy.sessions_per_s();
-  report.metrics["legacy_p50_ms"] = legacy.p50_ms;
-  report.metrics["legacy_p95_ms"] = legacy.p95_ms;
-  report.metrics["legacy_p99_ms"] = legacy.p99_ms;
+  report.metrics["pipelined_evals_per_s"] = pipelined.evals_per_s();
+  report.metrics["pipelined_sessions_per_s"] = pipelined.sessions_per_s();
+  report.metrics["pipelined_p50_ms"] = pipelined.p50_ms;
+  report.metrics["pipelined_p95_ms"] = pipelined.p95_ms;
+  report.metrics["pipelined_p99_ms"] = pipelined.p99_ms;
+  report.metrics["blocking_evals_per_s"] = blocking.evals_per_s();
+  report.metrics["blocking_sessions_per_s"] = blocking.sessions_per_s();
+  report.metrics["blocking_p50_ms"] = blocking.p50_ms;
+  report.metrics["blocking_p95_ms"] = blocking.p95_ms;
+  report.metrics["blocking_p99_ms"] = blocking.p99_ms;
   report.metrics["rf_evals_per_s"] = rf.evals_per_s();
   report.metrics["fetch_report_evals_per_s"] = fr.evals_per_s();
   report.metrics["rf_speedup"] = rf_speedup;

@@ -68,8 +68,8 @@ class TuningClient {
   [[nodiscard]] std::optional<Config> report_and_fetch(double objective);
 
   /// Negotiate the batched framing: bare `BATCH` probe. Returns the server's
-  /// per-line batch cap, or nullopt when the peer does not support batching
-  /// (the legacy transport, or a pre-batch server) — callers fall back to
+  /// per-line batch cap, or nullopt when the peer answers anything else
+  /// (e.g. an ERR from a server without the framing) — callers fall back to
   /// report_and_fetch() per evaluation.
   [[nodiscard]] std::optional<int> batch_limit();
 

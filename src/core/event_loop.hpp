@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file event_loop.hpp
-/// A minimal epoll reactor for the tuning server's event-driven mode. One
-/// EventLoop owns one epoll instance and runs on one thread; the server
-/// starts N of them and spreads connections across the loops, so the whole
-/// serving stack runs on a fixed, small thread count regardless of how many
-/// clients are connected (contrast the legacy thread-per-connection mode).
+/// A minimal epoll reactor for the tuning server. One EventLoop owns one
+/// epoll instance and runs on one thread; the server starts N of them and
+/// spreads connections across the loops, so the whole serving stack runs on
+/// a fixed, small thread count regardless of how many clients are
+/// connected.
 ///
 /// Threading contract: add()/modify()/remove() and the registered callbacks
 /// are loop-thread-only. The thread-safe surface is stop(), wakeup() and

@@ -18,9 +18,9 @@ namespace harmony::net {
 
 /// RAII file-descriptor owner. The descriptor is stored atomically so one
 /// thread may shutdown()/close() a socket another thread is blocked in
-/// accept()/recv() on — the tuning server's stop path — without a data
-/// race; ownership is still single-threaded (moves are not synchronized
-/// against concurrent moves).
+/// accept()/recv()/poll() on — the fleet worker's stop path — without a
+/// data race; ownership is still single-threaded (moves are not
+/// synchronized against concurrent moves).
 class Socket {
  public:
   Socket() = default;
@@ -39,8 +39,8 @@ class Socket {
   void close() noexcept;
 
   /// Shut down both directions without releasing the fd. Unlike close(),
-  /// this reliably wakes a thread blocked in accept()/recv() on this socket
-  /// — required to stop the tuning server's accept loop.
+  /// this reliably wakes a thread blocked in accept()/recv()/poll() on this
+  /// socket.
   void shutdown() noexcept;
 
   /// Send an entire buffer; returns false on error/peer close.

@@ -39,10 +39,10 @@
 ///                                unconstrained and unattributed.
 ///
 /// Batched framing (optional, negotiated):
-///   BATCH                     -> "OK batch <max>" on transports that
-///                                support batching (the event-loop stack),
-///                                "ERR batch unsupported on this transport"
-///                                on the legacy stack. Probe once, then:
+///   BATCH                     -> "OK batch <max>": the per-line cap on
+///                                batched values. A peer without the
+///                                framing answers ERR (unknown verb).
+///                                Probe once, then:
 ///   BATCH <n> <v1> ... <vn>   -> n REPORT+FETCH exchanges in ONE line:
 ///                                each vi reports the pending candidate and
 ///                                the reply block is exactly n lines, each

@@ -144,12 +144,6 @@ bool ServerConnection::handle_report_value(std::string_view field,
 }
 
 void ServerConnection::handle_batch(std::string& out) {
-  if (!batch_enabled_) {
-    // Legacy (thread-per-connection) transport: the framing is not
-    // negotiated there, and the probe's ERR is the negotiation signal.
-    reply(out, "ERR batch unsupported on this transport");
-    return;
-  }
   const int max_batch = std::max(1, opts_->max_batch);
   if (msg_.args.empty()) {
     // Bare BATCH is the negotiation probe: advertise the size cap.

@@ -27,7 +27,6 @@ namespace {
 
 using harmony::Config;
 using harmony::ServerOptions;
-using harmony::ServerThreading;
 using harmony::TuningClient;
 using harmony::TuningServer;
 namespace net = harmony::net;
@@ -46,7 +45,7 @@ bool eventually(const std::function<bool()>& pred, int timeout_ms = 5000) {
 // ---- BATCH framing ---------------------------------------------------------
 
 TEST(BatchVerb, ProbeAdvertisesCapOnEventStack) {
-  TuningServer server;  // event loop is the default transport
+  TuningServer server;
   ASSERT_TRUE(server.start());
   net::Socket sock = net::connect_loopback(server.port());
   ASSERT_TRUE(sock.valid());
@@ -58,46 +57,44 @@ TEST(BatchVerb, ProbeAdvertisesCapOnEventStack) {
   server.stop();
 }
 
-TEST(BatchVerb, LegacyStackAnswersCleanErr) {
-  ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
-  TuningServer server(opts);
-  ASSERT_TRUE(server.start());
-  net::Socket sock = net::connect_loopback(server.port());
-  ASSERT_TRUE(sock.valid());
-  net::LineReader reader(sock);
-  // The probe's ERR is the negotiation signal; the connection stays usable.
-  ASSERT_TRUE(sock.send_line("BATCH"));
-  auto reply = reader.read_line();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(*reply, "ERR batch unsupported on this transport");
-  ASSERT_TRUE(sock.send_line("HELLO still-alive"));
-  reply = reader.read_line();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->rfind("OK", 0), 0u);
-  server.stop();
-}
-
-TEST(BatchVerb, ClientNegotiationFallsBackOnLegacy) {
-  ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
-  TuningServer server(opts);
-  ASSERT_TRUE(server.start());
+/// A peer without the batched framing answers the probe with ERR, and the
+/// client must then report "no batching" so callers fall back to one
+/// REPORT+FETCH per evaluation. The server always advertises the framing,
+/// so a scripted loopback peer plays the ERR side.
+TEST(BatchVerb, ClientNegotiationFallsBackOnErr) {
+  auto lr = net::listen_loopback(0);
+  ASSERT_TRUE(lr.socket.valid());
+  std::thread peer([&listener = lr.socket] {
+    net::Socket conn = net::accept_connection(listener);
+    if (!conn.valid()) return;
+    net::LineReader reader(conn);
+    while (const auto line = reader.read_line()) {
+      if (line->rfind("HELLO ", 0) == 0) {
+        (void)conn.send_line("OK hello");
+      } else if (*line == "BATCH") {
+        (void)conn.send_line("ERR unknown verb BATCH");
+      } else {
+        break;  // BYE (or anything unscripted) ends the session
+      }
+    }
+  });
   TuningClient client;
-  ASSERT_TRUE(client.connect(server.port(), "probe"));
+  EXPECT_TRUE(client.connect(lr.port, "probe"));
   EXPECT_FALSE(client.batch_limit().has_value());
+  EXPECT_EQ(client.last_error(), "ERR unknown verb BATCH");
   client.bye();
-  server.stop();
+  lr.socket.shutdown();  // unblocks accept() if the connect never landed
+  peer.join();
 
-  TuningServer event_server;
-  ASSERT_TRUE(event_server.start());
+  TuningServer server;
+  ASSERT_TRUE(server.start());
   TuningClient event_client;
-  ASSERT_TRUE(event_client.connect(event_server.port(), "probe"));
+  ASSERT_TRUE(event_client.connect(server.port(), "probe"));
   const auto limit = event_client.batch_limit();
   ASSERT_TRUE(limit.has_value());
   EXPECT_GE(*limit, 1);
   event_client.bye();
-  event_server.stop();
+  server.stop();
 }
 
 /// A batched session must walk the exact trajectory the unbatched

@@ -1,8 +1,7 @@
 // Pipelined wire-protocol behaviour of the tuning server: many concurrent
 // clients writing batches of verbs before reading replies, strict reply
 // ordering, poisoned-connection isolation, REPORT+FETCH trajectory parity
-// with FETCH/REPORT, and the max_connections admission cap — on both the
-// event-loop and legacy threading modes.
+// with FETCH/REPORT, and the max_connections admission cap.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 namespace {
 
 using harmony::ServerOptions;
-using harmony::ServerThreading;
 using harmony::TuningClient;
 using harmony::TuningServer;
 
@@ -132,12 +130,10 @@ bool run_scripted_session(int port, int evals) {
   return true;
 }
 
-class PipelinedServer : public ::testing::TestWithParam<ServerThreading> {
+class PipelinedServer : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServerOptions opts;
-    opts.threading = GetParam();
-    server_ = std::make_unique<TuningServer>(opts);
+    server_ = std::make_unique<TuningServer>();
     ASSERT_TRUE(server_->start());
   }
   void TearDown() override { server_->stop(); }
@@ -145,11 +141,11 @@ class PipelinedServer : public ::testing::TestWithParam<ServerThreading> {
   std::unique_ptr<TuningServer> server_;
 };
 
-TEST_P(PipelinedServer, BatchedVerbsAnsweredInOrder) {
+TEST_F(PipelinedServer, BatchedVerbsAnsweredInOrder) {
   EXPECT_TRUE(run_scripted_session(server_->port(), 12));
 }
 
-TEST_P(PipelinedServer, SixtyFourConcurrentPipelinedClients) {
+TEST_F(PipelinedServer, SixtyFourConcurrentPipelinedClients) {
   constexpr int kClients = 64;
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -164,11 +160,10 @@ TEST_P(PipelinedServer, SixtyFourConcurrentPipelinedClients) {
   EXPECT_EQ(server_->sessions_served(), kClients);
 }
 
-TEST_P(PipelinedServer, OverlongLinePoisonsOnlyThatConnection) {
+TEST_F(PipelinedServer, OverlongLinePoisonsOnlyThatConnection) {
   // A fresh server with a small line limit for this test.
   server_->stop();
   ServerOptions opts;
-  opts.threading = GetParam();
   opts.max_line_bytes = 128;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());
@@ -199,7 +194,7 @@ TEST_P(PipelinedServer, OverlongLinePoisonsOnlyThatConnection) {
   server.stop();
 }
 
-TEST_P(PipelinedServer, GarbageVerbGetsErrButConnectionStaysUsable) {
+TEST_F(PipelinedServer, GarbageVerbGetsErrButConnectionStaysUsable) {
   harmony::net::Socket sock = harmony::net::connect_loopback(server_->port());
   ASSERT_TRUE(sock.valid());
   harmony::net::LineReader reader(sock);
@@ -213,15 +208,6 @@ TEST_P(PipelinedServer, GarbageVerbGetsErrButConnectionStaysUsable) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->rfind("OK", 0), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, PipelinedServer,
-                         ::testing::Values(ServerThreading::kEventLoop,
-                                           ServerThreading::kLegacy),
-                         [](const auto& info) {
-                           return info.param == ServerThreading::kEventLoop
-                                      ? "EventLoop"
-                                      : "Legacy";
-                         });
 
 /// REPORT+FETCH must walk the exact trajectory FETCH + REPORT walks: same
 /// proposals in the same order, same best. (The golden-trajectory fixtures
@@ -267,11 +253,8 @@ TEST(ReportAndFetch, MatchesSplitTrajectory) {
   }
 }
 
-class MaxConnections : public ::testing::TestWithParam<ServerThreading> {};
-
-TEST_P(MaxConnections, OverLimitConnectsRejectedThenRecovers) {
+TEST(MaxConnections, OverLimitConnectsRejectedThenRecovers) {
   ServerOptions opts;
-  opts.threading = GetParam();
   opts.max_connections = 2;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());
@@ -311,39 +294,6 @@ TEST_P(MaxConnections, OverLimitConnectsRejectedThenRecovers) {
   harmony::net::Socket c4 = harmony::net::connect_loopback(server.port());
   ASSERT_TRUE(c4.valid());
   hello(c4);
-  server.stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, MaxConnections,
-                         ::testing::Values(ServerThreading::kEventLoop,
-                                           ServerThreading::kLegacy),
-                         [](const auto& info) {
-                           return info.param == ServerThreading::kEventLoop
-                                      ? "EventLoop"
-                                      : "Legacy";
-                         });
-
-/// The legacy mode is still a fully working server, not just a code path
-/// that compiles: a complete tuning loop converges through it.
-TEST(LegacyServerMode, FetchReportLoopMinimizes) {
-  ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
-  TuningServer server(opts);
-  ASSERT_TRUE(server.start());
-  TuningClient client;
-  ASSERT_TRUE(client.connect(server.port(), "legacy"));
-  ASSERT_TRUE(client.add_int("x", 0, 200));
-  ASSERT_TRUE(client.start(80));
-  auto config = client.fetch();
-  while (config) {
-    const auto x = std::get<std::int64_t>(config->values[0]);
-    config = client.report_and_fetch(static_cast<double>((x - 77) * (x - 77)));
-  }
-  const auto best = client.best();
-  ASSERT_TRUE(best.has_value());
-  EXPECT_NEAR(static_cast<double>(std::get<std::int64_t>(best->values[0])), 77.0,
-              10.0);
-  client.bye();
   server.stop();
 }
 
