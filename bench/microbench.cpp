@@ -187,6 +187,25 @@ void BM_CgSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CgSolve)->Arg(16)->Arg(32)->Arg(64);
 
+// One Fig. 2b evaluation's partition analysis: the 21,025-row matrix over
+// 32 ranks. Arg 0 is the even split; arg 1 a skewed split whose rank k ends
+// at n (k+1)^2 / 32^2, so the ranks run from 20 to 1,294 rows.
+void BM_PartitionAnalyze(benchmark::State& state) {
+  constexpr int n = 21025;
+  constexpr int nranks = 32;
+  const auto A = minipetsc::variable_band_spd(n, 4, 120);
+  std::vector<int> skewed;
+  for (int k = 1; k < nranks; ++k) skewed.push_back(n * k * k / (nranks * nranks));
+  const auto part = state.range(0) == 0
+                        ? minipetsc::RowPartition::even(n, nranks)
+                        : minipetsc::RowPartition::from_boundaries(n, nranks, skewed);
+  for (auto _ : state) {
+    const auto stats = minipetsc::analyze(A, part);
+    benchmark::DoNotOptimize(stats.halo_counts.size());
+  }
+}
+BENCHMARK(BM_PartitionAnalyze)->Arg(0)->Arg(1);
+
 void BM_CavityResidual(benchmark::State& state) {
   minipetsc::CavityProblem p;
   p.nx = 33;

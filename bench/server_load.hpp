@@ -631,7 +631,9 @@ inline LoadResult run_storm(const StormOptions& opt) {
     conns[i].window = std::max(1, o.window);
     conns[i].sessions_left = base + (static_cast<int>(i) < extra ? 1 : 0);
     if (o.tenants > 0) {
-      conns[i].tenant = "t" + std::to_string(i % static_cast<std::size_t>(o.tenants));
+      std::string tenant = "t";
+      tenant += std::to_string(i % static_cast<std::size_t>(o.tenants));
+      conns[i].tenant = std::move(tenant);
     }
     conns[i].slow = o.slow_every > 0 && (i + 1) % static_cast<std::size_t>(o.slow_every) == 0;
     conns[i].slow_read_bytes = o.slow_read_bytes;

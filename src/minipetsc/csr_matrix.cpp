@@ -26,6 +26,7 @@ CsrMatrix CsrMatrix::from_triplets(
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+  m.extent_.resize(static_cast<std::size_t>(rows));
   m.col_idx_.reserve(triplets.size());
   m.vals_.reserve(triplets.size());
 
@@ -40,6 +41,11 @@ CsrMatrix CsrMatrix::from_triplets(
     }
     m.col_idx_.push_back(c);
     m.vals_.push_back(sum);
+    // Columns arrive ascending within a row: the first one seen is the
+    // smallest, the last one the largest.
+    auto& ext = m.extent_[static_cast<std::size_t>(r)];
+    ext.first = std::min(ext.first, c);
+    ext.last = c;
     ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
   }
   for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {

@@ -4,8 +4,13 @@
 /// Compressed-sparse-row matrix, the Mat of this substrate. Assembly uses a
 /// coordinate-triplet builder (duplicates summed, PETSc ADD_VALUES style);
 /// solves operate on the immutable CSR form.
+///
+/// Invariant: within each row the column indices are sorted ascending and
+/// unique (from_triplets sorts and merges duplicates). at() and analyze()
+/// rely on it.
 
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -50,6 +55,19 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<int>& col_idx() const noexcept { return col_idx_; }
   [[nodiscard]] const std::vector<double>& values() const noexcept { return vals_; }
 
+  /// Smallest and largest column of one row, recorded at construction.
+  struct ColumnExtent {
+    int first = std::numeric_limits<int>::max();
+    int last = std::numeric_limits<int>::min();
+  };
+
+  /// Column extent of row r, 0 <= r < rows(). An empty row keeps the default
+  /// {INT_MAX, INT_MIN}, so it lies inside every column range. Lets analyze()
+  /// skip a row owned wholly by its rank without reading col_idx().
+  [[nodiscard]] ColumnExtent row_extent(int r) const noexcept {
+    return extent_[static_cast<std::size_t>(r)];
+  }
+
   /// Frobenius norm (for tests).
   [[nodiscard]] double frobenius_norm() const;
 
@@ -62,6 +80,7 @@ class CsrMatrix {
   std::vector<std::int64_t> row_ptr_;
   std::vector<int> col_idx_;
   std::vector<double> vals_;
+  std::vector<ColumnExtent> extent_;  // one per row
 };
 
 }  // namespace minipetsc

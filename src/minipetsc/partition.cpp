@@ -1,7 +1,6 @@
 #include "minipetsc/partition.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace minipetsc {
@@ -92,6 +91,11 @@ PartitionStats analyze(const CsrMatrix& A, const RowPartition& part) {
 
   const auto& row_ptr = A.row_ptr();
   const auto& col_idx = A.col_idx();
+  const auto& bounds = part.boundaries();
+
+  // stamp[c] == rank once column c is in `external` for this rank.
+  std::vector<int> stamp(static_cast<std::size_t>(A.cols()), -1);
+  std::vector<int> external;
 
   for (int rank = 0; rank < nranks; ++rank) {
     const auto [lo, hi] = part.range(rank);
@@ -100,19 +104,42 @@ PartitionStats analyze(const CsrMatrix& A, const RowPartition& part) {
 
     // Distinct external columns referenced by this rank's rows, grouped by
     // owning rank: these are the vector values that must arrive before the
-    // local SpMV can complete.
-    std::set<int> external;
-    for (int r = lo; r < hi; ++r) {
-      for (auto k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const int c = col_idx[static_cast<std::size_t>(k)];
-        if (c < lo || c >= hi) external.insert(c);
+    // local SpMV can complete. Columns are sorted within a row, so the
+    // external ones are a prefix (< lo) and a suffix (>= hi), and a row
+    // whose extent lies in [lo, hi) has none.
+    external.clear();
+    const auto take = [&](int c) {
+      if (stamp[static_cast<std::size_t>(c)] != rank) {
+        stamp[static_cast<std::size_t>(c)] = rank;
+        external.push_back(c);
       }
+    };
+    for (int r = lo; r < hi; ++r) {
+      const auto ext = A.row_extent(r);
+      if (ext.first >= lo && ext.last < hi) continue;
+      const int* first = col_idx.data() + row_ptr[static_cast<std::size_t>(r)];
+      const int* last = col_idx.data() + row_ptr[static_cast<std::size_t>(r) + 1];
+      for (; first != last && *first < lo; ++first) take(*first);
+      for (; last != first && *(last - 1) >= hi; --last) take(*(last - 1));
     }
+    std::sort(external.begin(), external.end());
+
+    // The owner of a column is the number of boundaries at or below it, so
+    // one walk over the boundaries assigns every sorted column.
+    int src = 0;
+    std::int64_t count = 0;
+    const auto flush = [&] {
+      if (count > 0) stats.halo_counts.emplace(std::pair{src, rank}, count);
+      count = 0;
+    };
     for (const int c : external) {
-      const int src = part.owner(c);
-      ++stats.halo_counts[{src, rank}];
+      while (src < nranks - 1 && bounds[static_cast<std::size_t>(src)] <= c) {
+        flush();
+        ++src;
+      }
+      ++count;
     }
+    flush();
   }
   return stats;
 }

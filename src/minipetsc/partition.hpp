@@ -64,6 +64,10 @@ struct PartitionStats {
   [[nodiscard]] double nnz_imbalance() const;
 };
 
+/// Cost: O(rows + nranks^2), plus one read per external entry of a boundary
+/// row (a row whose column extent leaves its rank's range), plus sorting each
+/// rank's distinct external columns. Interior rows are skipped on their
+/// extent, so the cost follows the halo, not nnz. Allocates one int per column.
 [[nodiscard]] PartitionStats analyze(const CsrMatrix& A, const RowPartition& part);
 
 }  // namespace minipetsc

@@ -234,7 +234,10 @@ TEST_F(BatchEdgeCases, BudgetExhaustionAnswersDoneTail) {
   // answer CONFIG while candidates remain and DONE for the whole tail,
   // exactly 64 reply lines in order.
   std::string line = "BATCH 64";
-  for (int i = 0; i < 64; ++i) line += " " + std::to_string(50.0 + i);
+  for (int i = 0; i < 64; ++i) {
+    line += ' ';
+    line += std::to_string(50.0 + i);
+  }
   ASSERT_TRUE(sock_.send_line(line));
   int configs = 0;
   int dones = 0;

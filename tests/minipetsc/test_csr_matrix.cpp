@@ -90,6 +90,20 @@ TEST(Csr, NnzInRows) {
   EXPECT_THROW((void)m.nnz_in_rows(2, 1), std::invalid_argument);
 }
 
+TEST(Csr, RowExtentIsSmallestAndLargestColumn) {
+  // Unordered, duplicated triplets; row 1 is empty.
+  const auto m = CsrMatrix::from_triplets(
+      3, 4, {{2, 3, 1}, {0, 2, 1}, {2, 1, 1}, {0, 2, 1}, {2, 3, 1}});
+  EXPECT_EQ(m.row_extent(0).first, 2);
+  EXPECT_EQ(m.row_extent(0).last, 2);
+  EXPECT_EQ(m.row_extent(2).first, 1);
+  EXPECT_EQ(m.row_extent(2).last, 3);
+  // An empty row lies inside every column range.
+  EXPECT_GT(m.row_extent(1).first, m.row_extent(1).last);
+  EXPECT_GE(m.row_extent(1).first, 4);
+  EXPECT_LT(m.row_extent(1).last, 0);
+}
+
 TEST(Csr, FrobeniusNorm) {
   const auto m = CsrMatrix::from_triplets(2, 2, {{0, 0, 3}, {1, 1, 4}});
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/rng.hpp"
 #include "minipetsc/mat_gen.hpp"
@@ -123,6 +126,95 @@ TEST(Analyze, NonSquareThrows) {
   const auto A = CsrMatrix::from_triplets(4, 5, {{0, 0, 1.0}});
   const auto p = RowPartition::even(4, 2);
   EXPECT_THROW((void)analyze(A, p), std::invalid_argument);
+}
+
+// The pre-rewrite analyze(): every nonzero of every row, a std::set of the
+// external columns, and an owner() lookup per column. Kept as the oracle
+// for the halo-scaled analyze().
+PartitionStats reference_analyze(const CsrMatrix& A, const RowPartition& part) {
+  PartitionStats stats;
+  const int nranks = part.nranks();
+  stats.rows_per_rank.resize(static_cast<std::size_t>(nranks));
+  stats.nnz_per_rank.resize(static_cast<std::size_t>(nranks));
+  const auto& row_ptr = A.row_ptr();
+  const auto& col_idx = A.col_idx();
+  for (int rank = 0; rank < nranks; ++rank) {
+    const auto [lo, hi] = part.range(rank);
+    stats.rows_per_rank[static_cast<std::size_t>(rank)] = hi - lo;
+    stats.nnz_per_rank[static_cast<std::size_t>(rank)] = A.nnz_in_rows(lo, hi);
+    std::set<int> external;
+    for (int r = lo; r < hi; ++r) {
+      for (auto k = row_ptr[static_cast<std::size_t>(r)];
+           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+        const int c = col_idx[static_cast<std::size_t>(k)];
+        if (c < lo || c >= hi) external.insert(c);
+      }
+    }
+    for (const int c : external) ++stats.halo_counts[{part.owner(c), rank}];
+  }
+  return stats;
+}
+
+// A random partition of n rows into 1..min(n, 40) ranks; small n makes
+// one-row ranks common.
+RowPartition random_partition(int n, harmony::Rng& rng) {
+  const int nranks = static_cast<int>(rng.uniform_int(1, std::min(n, 40)));
+  std::set<int> cuts;
+  while (static_cast<int>(cuts.size()) < nranks - 1) {
+    cuts.insert(static_cast<int>(rng.uniform_int(1, n - 1)));
+  }
+  return RowPartition::from_boundaries(n, nranks,
+                                       std::vector<int>(cuts.begin(), cuts.end()));
+}
+
+// Non-symmetric, with empty rows and duplicate entries (summed on assembly).
+CsrMatrix random_triplet_matrix(int n, harmony::Rng& rng) {
+  std::vector<std::tuple<int, int, double>> t;
+  for (int r = 0; r < n; ++r) {
+    if (rng.uniform() < 0.25) continue;
+    const auto k = rng.uniform_int(1, 6);
+    for (std::int64_t j = 0; j < k; ++j) {
+      const int c = static_cast<int>(rng.uniform_int(0, n - 1));
+      t.emplace_back(r, c, 1.0);
+      if (rng.uniform() < 0.3) t.emplace_back(r, c, 0.5);
+    }
+  }
+  return CsrMatrix::from_triplets(n, n, std::move(t));
+}
+
+TEST(Analyze, MatchesReferenceOnRandomMatrices) {
+  int cases = 0;
+  const auto check = [&](const CsrMatrix& A, const RowPartition& p,
+                         const std::string& what) {
+    const auto got = analyze(A, p);
+    const auto want = reference_analyze(A, p);
+    EXPECT_EQ(got.rows_per_rank, want.rows_per_rank) << what;
+    EXPECT_EQ(got.nnz_per_rank, want.nnz_per_rank) << what;
+    EXPECT_EQ(got.halo_counts, want.halo_counts) << what;
+    ++cases;
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    harmony::Rng rng(seed);
+    const auto size = [&](int most) {
+      return static_cast<int>(rng.uniform_int(1, most));
+    };
+    const std::vector<std::pair<std::string, CsrMatrix>> matrices = {
+        {"random_spd", random_spd(size(600), 5, seed)},
+        {"variable_band_spd", variable_band_spd(size(2000), 2, 40)},
+        {"laplacian2d", laplacian2d(size(30), 12)},
+        {"dense_block_matrix", dense_block_matrix({7, 1, 20, 13, 9}, 0.3)},
+        {"triplets", random_triplet_matrix(size(300), rng)},
+        {"triplets_small", random_triplet_matrix(size(45), rng)},
+    };
+    for (const auto& [name, A] : matrices) {
+      const std::string what = name + " seed " + std::to_string(seed);
+      const int n = A.rows();
+      for (int trial = 0; trial < 15; ++trial) check(A, random_partition(n, rng), what);
+      if (n <= 40) check(A, RowPartition::even(n, n), what + " one row per rank");
+      check(A, RowPartition::even(n, 1), what + " one rank");
+    }
+  }
+  EXPECT_GE(cases, 400);
 }
 
 // Property: for random valid boundary sets on the 2-D Laplacian, halo counts
