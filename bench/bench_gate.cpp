@@ -20,9 +20,10 @@
 //    ratios are above; it must not drop below its baseline by more than
 //    --speedup-tol.
 //  * p99/p50 latency ratio — for the latency workload only: tail over median
-//    per-request latency of the pipelined server under gate-sized load. A
-//    ratio (not raw milliseconds) so the check survives host speed
-//    differences; it must not exceed its baseline by more than
+//    per-request latency of the pipelined server under gate-sized load,
+//    the median over at least five load runs. A ratio (not raw
+//    milliseconds) so the check survives host speed differences; it must
+//    not exceed its baseline by more than
 //    --latency-tol (a new lock, a quantile scan on the request path, or a
 //    stalled reactor widens the tail long before it moves the median).
 //
@@ -34,6 +35,7 @@
 // evaluation — a deliberate slowdown used by the test suite to prove the
 // gate actually trips.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -345,28 +347,38 @@ obs::BenchReport run_gate_server_throughput(int reps) {
 
 // ---- workload 5: tuning-server tail latency -------------------------------
 
+/// Load runs behind the latency row, whatever --runs asks for. One short
+/// run's p99 rests on a handful of requests, so a single scheduler stall can
+/// multiply it; the median over five runs shrugs off up to two such stalls.
+constexpr int kLatencyRuns = 5;
+
 obs::BenchReport run_gate_server_latency(int reps) {
   harmony::bench::LoadOptions load;
   load.clients = 16;
   load.evals = 100;
   load.window = 8;
   load.reactors = 2;
-  // Best run by throughput: the quietest rep, so its tail is protocol cost,
-  // not scheduler noise.
-  const auto best = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(/*pipelined=*/true, load);
-  });
+  const auto ratio = [](const harmony::bench::LoadResult& r) {
+    return r.p50_ms > 0.0 ? r.p99_ms / r.p50_ms : 0.0;
+  };
+  std::vector<harmony::bench::LoadResult> runs;
+  for (int i = 0; i < std::max(reps, kLatencyRuns); ++i) {
+    runs.push_back(harmony::bench::run_load(/*pipelined=*/true, load));
+  }
+  // The run with the median p99/p50 ratio speaks for the workload.
+  std::sort(runs.begin(), runs.end(),
+            [&](const auto& a, const auto& b) { return ratio(a) < ratio(b); });
+  const auto& median = runs[runs.size() / 2];
 
   obs::BenchReport report;
   report.name = "gate_server_latency";
-  report.evaluations = static_cast<int>(best.evals);
-  report.wall_s = best.wall_s;
-  report.metrics["p50_ms"] = best.p50_ms;
-  report.metrics["p95_ms"] = best.p95_ms;
-  report.metrics["p99_ms"] = best.p99_ms;
-  report.metrics["p99_p50_ratio"] =
-      best.p50_ms > 0.0 ? best.p99_ms / best.p50_ms : 0.0;
-  report.metrics["evals_per_s"] = best.evals_per_s();
+  report.evaluations = static_cast<int>(median.evals);
+  report.wall_s = median.wall_s;
+  report.metrics["p50_ms"] = median.p50_ms;
+  report.metrics["p95_ms"] = median.p95_ms;
+  report.metrics["p99_ms"] = median.p99_ms;
+  report.metrics["p99_p50_ratio"] = ratio(median);
+  report.metrics["evals_per_s"] = median.evals_per_s();
   return report;
 }
 

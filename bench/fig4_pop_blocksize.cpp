@@ -109,13 +109,14 @@ int main() {
   if (const auto path = report.write_file(harmony::obs::bench_out_dir())) {
     std::printf("wrote %s\n", path->c_str());
   }
-  // JSONL evaluation trace alongside the report — tools/report_gen turns the
-  // pair into a self-contained HTML convergence report.
+  // JSONL evaluation spans alongside the report — tools/report_gen turns the
+  // pair into a self-contained HTML convergence report (--trace) or the
+  // trace alone into a Chrome trace (--merge).
   const std::string trace_path =
       harmony::obs::bench_out_dir() + "/TRACE_fig4_pop_blocksize.jsonl";
   if (std::ofstream tf(trace_path); tf) {
     tracer.write_jsonl(tf);
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(), tracer.size());
+    std::printf("wrote %s (%zu spans)\n", trace_path.c_str(), tracer.size());
   }
 
   std::printf("\nexecution-time bars (first=tuned, second=default), as in the figure:\n");

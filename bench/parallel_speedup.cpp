@@ -132,7 +132,7 @@ int main() {
     std::ofstream trace_os(trace_path);
     if (trace_os) {
       tracer.write_chrome_trace(trace_os);
-      std::printf("wrote %s (%zu events across %zu worker lanes)\n",
+      std::printf("wrote %s (%zu spans across %zu worker lanes)\n",
                   trace_path.c_str(), tracer.size(), tracer.lanes());
     }
 

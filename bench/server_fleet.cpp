@@ -371,7 +371,7 @@ int main(int argc, char** argv) {
     }
     tracer.write_jsonl(out);
     std::printf("wrote %s (%zu span(s))\n", opt.trace_out.c_str(),
-                tracer.span_count());
+                tracer.size());
   }
   return 0;
 }

@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
     std::ofstream tf(opt.trace_out);
     if (tf) {
       tracer.write_jsonl(tf);
-      std::printf("wrote %zu span(s) to %s\n", tracer.span_count(),
+      std::printf("wrote %zu span(s) to %s\n", tracer.size(),
                   opt.trace_out.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write %s\n", opt.trace_out.c_str());

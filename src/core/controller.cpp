@@ -68,6 +68,7 @@ SearchController::SearchController(const ParamSpace& space, ControllerLimits lim
       limits_(limits),
       hooks_(std::move(hooks)),
       tracer_(tracer),
+      trace_id_(tracer != nullptr ? obs::next_trace_id() : 0),
       cache_(cache),
       history_(space),
       best_value_(std::numeric_limits<double>::infinity()) {
@@ -105,6 +106,7 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
   EvalBackend::Context ctx;
   ctx.space = space_;
   ctx.tracer = tracer_;
+  ctx.trace_id = trace_id_;
   ctx.strategy_name = strategy_name;
 
   // Live-status slot. The facade only hands us an id while observability is
@@ -190,10 +192,11 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const EvalOutcome& o = outcomes[i];
       if (tracer_ != nullptr && !backend.traces()) {
-        tracer_->record({strategy_name, space_->format(batch[i]),
-                         o.result.objective, o.result.valid,
-                         /*cache_hit=*/!o.ran, /*thread_lane=*/0, t_start_us[i],
-                         tracer_->now_us()});
+        tracer_->record(obs::eval_span(trace_id_, strategy_name,
+                                       space_->format(batch[i]),
+                                       o.result.objective, o.result.valid,
+                                       /*cache_hit=*/!o.ran, t_start_us[i],
+                                       tracer_->now_us()));
       }
       if (o.ran) {
         ++evaluations_;
@@ -256,9 +259,9 @@ void SearchController::tell(SearchStrategy& strategy, const EvaluationResult& r,
   }
   if (tracer_ != nullptr) {
     const double now = tracer_->now_us();
-    tracer_->record({strategy.name(), space_->format(*pending_), r.objective,
-                     r.valid, /*cache_hit=*/speculative, /*thread_lane=*/0, now,
-                     now});
+    tracer_->record(obs::eval_span(trace_id_, strategy.name(),
+                                   space_->format(*pending_), r.objective,
+                                   r.valid, /*cache_hit=*/speculative, now, now));
   }
   if (!speculative) ++evaluations_;
   // Report first, then move the pending config into History — the strategy

@@ -22,6 +22,7 @@
 /// where the measurement happens elsewhere (the TCP tuning server and the
 /// in-application Session facade).
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -47,9 +48,10 @@ struct ControllerOptions {
   /// Memoize evaluations per lattice point.
   bool use_cache = true;
 
-  /// Optional per-evaluation tracer (not owned; may be null). When set, one
-  /// TraceEvent is recorded per proposal — strategy, point, objective, cache
-  /// hit/miss, wall-clock span — independent of obs::enabled(), which only
+  /// Optional per-evaluation tracer (not owned; may be null). When set, the
+  /// run mints one trace id and records one evaluation span per proposal
+  /// ("search.eval", or "search.cache" for a cache hit) — strategy, point,
+  /// objective, wall-clock span — independent of obs::enabled(), which only
   /// gates the aggregate metrics. Feed the JSONL export to tools/report_gen
   /// for the HTML convergence report.
   obs::SearchTracer* tracer = nullptr;
@@ -91,6 +93,7 @@ class EvalBackend {
   struct Context {
     const ParamSpace* space = nullptr;
     obs::SearchTracer* tracer = nullptr;
+    std::uint64_t trace_id = 0;  ///< trace the evaluation spans belong to
     std::string strategy_name;
   };
 
@@ -224,6 +227,7 @@ class SearchController {
   ControllerLimits limits_;
   ControllerHooks hooks_;
   obs::SearchTracer* tracer_;
+  std::uint64_t trace_id_;  ///< minted when traced, else 0
   EvalCache* cache_;
   History history_;
 

@@ -86,7 +86,7 @@ void EventLoop::drain_deferred() {
   if (pending.empty()) return;
   if (obs::enabled()) {
     auto& defer_wait =
-        obs::MetricsRegistry::global().hdr("net.loop.defer_wait_s");
+        obs::MetricsRegistry::global().histogram("net.loop.defer_wait_s");
     const auto now = std::chrono::steady_clock::now();
     for (const auto& item : pending) {
       if (item.enqueued == std::chrono::steady_clock::time_point{}) continue;

@@ -17,7 +17,7 @@
 /// Observability: when AH_OBS is on, each iteration records the ready-queue
 /// depth into `net.loop.ready` and counts `net.loop.iterations`, and every
 /// deferred closure's queue residency (defer() enqueue to drain) lands in
-/// the `net.loop.defer_wait_s` HDR histogram; connection byte counters are
+/// the `net.loop.defer_wait_s` histogram; connection byte counters are
 /// maintained by the server's connection handlers.
 
 #include <algorithm>

@@ -28,8 +28,8 @@ double us_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Registry name of the per-verb latency HDR histogram.
-const char* verb_hdr_name(std::string_view verb) {
+/// Registry name of the per-verb latency histogram.
+const char* verb_histogram_name(std::string_view verb) {
   if (verb == "REPORT+FETCH") return "server.verb.report_fetch_s";
   if (verb == "FETCH") return "server.verb.fetch_s";
   if (verb == "REPORT") return "server.verb.report_s";
@@ -44,7 +44,7 @@ ServerConnection::ServerConnection(const ServerOptions& opts, int session_no)
       session_id_("server/" + std::to_string(session_no)),
       budget_(opts.default_max_iterations),
       status_(obs::StatusRegistry::global().publish_session(session_id_)),
-      latency_(std::make_unique<obs::HdrHistogram>()) {
+      latency_(std::make_unique<obs::Histogram>()) {
   // Live-status slot for this session. Published unconditionally (the STATUS
   // verb is part of the protocol surface, not passive instrumentation); the
   // handle unpublishes when the connection ends.
@@ -334,7 +334,7 @@ void ServerConnection::record_stage_span(const char* name, double dur_us) {
   sp.name = name;
   sp.t_end_us = tr->now_us();
   sp.t_start_us = sp.t_end_us - dur_us;
-  tr->record_span(sp);
+  tr->record(sp);
 }
 
 void ServerConnection::finish_request(std::string_view verb,
@@ -360,7 +360,7 @@ void ServerConnection::finish_request(std::string_view verb,
     sp.detail = std::string(verb);
     sp.t_end_us = root_end_us;
     sp.t_start_us = root_end_us - dt_us;
-    tr->record_span(sp);
+    tr->record(sp);
   }
 
   latency_->record(dt_s);
@@ -378,9 +378,7 @@ void ServerConnection::finish_request(std::string_view verb,
       s.p99_us = latency_->quantile(0.99) * 1e6;
     });
   }
-  if (obs::enabled()) {
-    obs::MetricsRegistry::global().hdr(verb_hdr_name(verb)).record(dt_s);
-  }
+  obs::observe(verb_histogram_name(verb), dt_s);
 
   if (opts_->slow_request_us > 0 &&
       dt_us > static_cast<double>(opts_->slow_request_us)) {

@@ -118,14 +118,14 @@ class ServerConnection {
   // Tracing + latency state for the request currently inside handle_line().
   // trace_ is zeroed per request; an unsampled request touches none of the
   // span machinery and allocates nothing. latency_ is the per-connection
-  // HDR histogram behind the session's published p50/p95/p99 (heap-held:
+  // histogram behind the session's published p50/p95/p99 (heap-held:
   // it is ~22 KiB and most ServerConnection uses are short-lived tests).
   obs::TraceContext trace_;
   bool measure_stages_ = false;
   double stage_tell_us_ = 0.0;
   double stage_ask_us_ = 0.0;
   std::uint64_t requests_ = 0;
-  std::unique_ptr<obs::HdrHistogram> latency_;
+  std::unique_ptr<obs::Histogram> latency_;
 
   // Multi-tenancy. tenant_ is resolved once at TENANT time (registry table
   // lock) and only its atomics are touched from then on — the request hot

@@ -56,10 +56,10 @@ std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& ba
       t.cost_s = t.ran ? cost_s : 0.0;
       if (t.ran) obs::count("engine.driver.runs");
       if (tracer != nullptr) {
-        tracer->record({ctx.strategy_name, ctx.space->format(c),
-                        t.result.objective, t.result.valid,
-                        /*cache_hit=*/!t.ran, /*thread_lane=*/0, t_start_us,
-                        tracer->now_us()});
+        tracer->record(obs::eval_span(ctx.trace_id, ctx.strategy_name,
+                                      ctx.space->format(c), t.result.objective,
+                                      t.result.valid, /*cache_hit=*/!t.ran,
+                                      t_start_us, tracer->now_us()));
       }
       return t;
     }));

@@ -54,7 +54,7 @@ void Dispatcher::span_locked(const Item& item, const char* name,
   sp.detail = detail;
   sp.t_end_us = opts_.tracer->now_us();
   sp.t_start_us = sp.t_end_us - dur_us;
-  opts_.tracer->record_span(sp);
+  opts_.tracer->record(sp);
 }
 
 void Dispatcher::publish_worker_locked(std::uint64_t id, WorkerState& w) {
@@ -247,10 +247,7 @@ bool Dispatcher::on_result(std::uint64_t worker_id, std::uint64_t work_id,
           std::chrono::duration<double, std::micro>(now - it->second.issued)
               .count();
       eval_s_.record(wait_us * 1e-6);
-      if (obs::enabled()) {
-        obs::MetricsRegistry::global().hdr("fleet.eval_s").record(wait_us *
-                                                                  1e-6);
-      }
+      obs::observe("fleet.eval_s", wait_us * 1e-6);
       span_locked(it->second, "fleet.eval",
                   wit != workers_.end() ? wit->second.name : std::string(),
                   wait_us);
@@ -267,7 +264,7 @@ bool Dispatcher::on_result(std::uint64_t worker_id, std::uint64_t work_id,
             root.t_end_us -
             std::chrono::duration<double, std::micro>(now - it->second.enqueued)
                 .count();
-        opts_.tracer->record_span(root);
+        opts_.tracer->record(root);
       }
       finish_item_locked(it, outcome);
       obs::count("fleet.results");

@@ -120,7 +120,7 @@ class Dispatcher final : public WorkSink {
   /// In-flight evaluation latency (WORK dispatch to winning RESULT), always
   /// recorded; lock-free to read while batches run (atomic buckets). The
   /// fleet bench reads its p50/p99 for BENCH_*.json.
-  [[nodiscard]] const obs::HdrHistogram& eval_latency() const noexcept {
+  [[nodiscard]] const obs::Histogram& eval_latency() const noexcept {
     return eval_s_;
   }
 
@@ -186,7 +186,7 @@ class Dispatcher final : public WorkSink {
   std::map<std::uint64_t, Item> items_;   ///< incomplete items by id
   std::deque<std::uint64_t> pending_;     ///< ids with no holder yet
   DispatcherStats stats_;
-  obs::HdrHistogram eval_s_;              ///< dispatch-to-RESULT latency
+  obs::Histogram eval_s_;              ///< dispatch-to-RESULT latency
 
 };
 

@@ -81,7 +81,7 @@ bool WorkerClient::handle_line(std::string_view line, const ParamSpace& space,
       sp.detail = "work " + std::to_string(*id);
       sp.t_end_us = opts_.tracer->now_us();
       sp.t_start_us = sp.t_end_us - cost_s * 1e6;
-      opts_.tracer->record_span(sp);
+      opts_.tracer->record(sp);
     }
     if (r.ok) {
       // %.17g: exact double round trip, so a fleet search sees bit-identical

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace minipetsc {
 
@@ -16,41 +17,57 @@ CsrMatrix CsrMatrix::from_triplets(
       throw std::invalid_argument("CsrMatrix: triplet index out of range");
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(std::get<0>(a), std::get<1>(a)) <
-                     std::tie(std::get<0>(b), std::get<1>(b));
-            });
 
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
   m.extent_.resize(static_cast<std::size_t>(rows));
-  m.col_idx_.reserve(triplets.size());
-  m.vals_.reserve(triplets.size());
 
-  for (std::size_t i = 0; i < triplets.size();) {
-    const int r = std::get<0>(triplets[i]);
-    const int c = std::get<1>(triplets[i]);
-    double sum = 0.0;
-    while (i < triplets.size() && std::get<0>(triplets[i]) == r &&
-           std::get<1>(triplets[i]) == c) {
-      sum += std::get<2>(triplets[i]);
-      ++i;
-    }
-    m.col_idx_.push_back(c);
-    m.vals_.push_back(sum);
-    // Columns arrive ascending within a row: the first one seen is the
-    // smallest, the last one the largest.
-    auto& ext = m.extent_[static_cast<std::size_t>(r)];
-    ext.first = std::min(ext.first, c);
-    ext.last = c;
-    ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
-  }
+  // Counting pass: bucket the entries by row, input order kept within each
+  // row — O(nnz) instead of sorting every tuple.
+  std::vector<std::int64_t> start(static_cast<std::size_t>(rows) + 1, 0);
+  for (const auto& t : triplets) ++start[static_cast<std::size_t>(std::get<0>(t)) + 1];
   for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
+    start[r + 1] += start[r];
   }
+  m.col_idx_.resize(triplets.size());
+  m.vals_.resize(triplets.size());
+  {
+    std::vector<std::int64_t> next(start.begin(), start.end() - 1);
+    for (const auto& [r, c, v] : triplets) {
+      const auto at = static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
+      m.col_idx_[at] = c;
+      m.vals_[at] = v;
+    }
+  }
+  std::vector<std::tuple<int, int, double>>().swap(triplets);
+
+  // Per row: a stable sort by column, so duplicates are summed in input
+  // order, then compaction in place (a row never writes past its start).
+  m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+  std::vector<std::pair<int, double>> row;
+  std::size_t out = 0;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    row.clear();
+    for (auto k = static_cast<std::size_t>(start[r]);
+         k < static_cast<std::size_t>(start[r + 1]); ++k) {
+      row.emplace_back(m.col_idx_[k], m.vals_[k]);
+    }
+    std::stable_sort(row.begin(), row.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t k = 0; k < row.size();) {
+      const int c = row[k].first;
+      double sum = 0.0;
+      for (; k < row.size() && row[k].first == c; ++k) sum += row[k].second;
+      m.col_idx_[out] = c;
+      m.vals_[out] = sum;
+      ++out;
+    }
+    if (!row.empty()) m.extent_[r] = {row.front().first, row.back().first};
+    m.row_ptr_[r + 1] = static_cast<std::int64_t>(out);
+  }
+  m.col_idx_.resize(out);
+  m.vals_.resize(out);
   return m;
 }
 

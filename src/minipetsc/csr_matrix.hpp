@@ -6,8 +6,8 @@
 /// solves operate on the immutable CSR form.
 ///
 /// Invariant: within each row the column indices are sorted ascending and
-/// unique (from_triplets sorts and merges duplicates). at() and analyze()
-/// rely on it.
+/// unique (from_triplets buckets by row, sorts each row and merges
+/// duplicates). at() and analyze() rely on it.
 
 #include <cstdint>
 #include <limits>

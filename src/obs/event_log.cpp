@@ -1,10 +1,8 @@
 #include "obs/event_log.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "obs/json.hpp"
 
@@ -39,8 +37,13 @@ EventLog& EventLog::global() {
 }
 
 EventLog::Shard& EventLog::shard_for_current_thread() noexcept {
-  const std::size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return shards_[h % shards_.size()];
+  // Threads take shards round-robin in order of first use, so up to kShards
+  // concurrent recorders never share one. (Hashing thread ids could put
+  // several on one shard, which then evicts while others sit empty.)
+  static std::atomic<std::size_t> next_slot{0};
+  thread_local const std::size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed);
+  return shards_[slot % shards_.size()];
 }
 
 double EventLog::now_us() const {

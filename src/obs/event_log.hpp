@@ -7,10 +7,11 @@
 /// reads the most recent events while the system runs; an optional JSONL
 /// sink mirrors every record to a stream for durable logs.
 ///
-/// Recording is shard-local (shard chosen by thread id, one mutex per
-/// shard), so pool workers logging concurrently almost never contend; the
-/// buffer is bounded per shard, so a chatty component can never grow memory
-/// without limit — old events are overwritten, the lifetime total is kept.
+/// Recording is shard-local (threads take shards round-robin on first use,
+/// one mutex per shard), so pool workers logging concurrently almost never
+/// contend; the buffer is bounded per shard, so a chatty component can never
+/// grow memory without limit — old events are overwritten, the lifetime
+/// total is kept.
 ///
 /// The gated convenience helpers (obs::log_info etc.) cost one relaxed
 /// atomic load when observability is off, like every other record site in

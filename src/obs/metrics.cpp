@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -40,23 +41,37 @@ void set_enabled(bool on) noexcept {
 // ---- Histogram ------------------------------------------------------------
 
 int Histogram::bucket_index(double v) noexcept {
-  if (!(v > kBucketFloor)) return 0;  // also catches NaN and negatives
-  // log2(v) - log2(floor) rather than log2(v / floor): the quotient can
-  // overflow to inf for huge v (1e300 / 1e-9 > DBL_MAX).
-  const int idx =
-      1 + static_cast<int>(std::floor(std::log2(v) - std::log2(kBucketFloor)));
-  return std::clamp(idx, 0, kBuckets - 1);
+  if (!(v > kValueFloor)) return 0;  // also catches NaN and negatives
+  // Normalise to units of the floor, then split log2(u) into octave (the
+  // integer part, via frexp) and a linear sub-bucket within [2^o, 2^(o+1)).
+  const double u = v / kValueFloor;
+  if (!std::isfinite(u)) return kOverflow;  // v / floor overflowed
+  int exp = 0;
+  const double frac = std::frexp(u, &exp);  // u = frac * 2^exp, frac in [0.5,1)
+  const int octave = exp - 1;               // u in [2^octave, 2^(octave+1))
+  if (octave >= kOctaves) return kOverflow;
+  // frac*2 in [1,2) is the mantissa; its fractional part picks the sub-bucket.
+  const int sub = std::min(kSubBuckets - 1,
+                           static_cast<int>((frac * 2.0 - 1.0) * kSubBuckets));
+  return 1 + octave * kSubBuckets + sub;
+}
+
+double Histogram::bucket_upper(int i) noexcept {
+  if (i <= 0) return kValueFloor;
+  if (i >= kOverflow) return std::numeric_limits<double>::infinity();
+  const int j = i - 1;
+  const int octave = j / kSubBuckets;
+  const int sub = j % kSubBuckets;
+  return kValueFloor * std::ldexp(1.0 + static_cast<double>(sub + 1) / kSubBuckets,
+                                  octave);
 }
 
 void Histogram::record(double v) noexcept {
   count_.fetch_add(1, std::memory_order_relaxed);
-  // C++20 atomic<double>::fetch_add; compiled to a CAS loop where needed.
   sum_.fetch_add(v, std::memory_order_relaxed);
   buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
       1, std::memory_order_relaxed);
 
-  // min/max via CAS; the any_ flag handles the empty->first-value race by
-  // letting the first recorder seed both extrema before relaxing into CAS.
   if (!any_.exchange(true, std::memory_order_acq_rel)) {
     min_.store(v, std::memory_order_release);
     max_.store(v, std::memory_order_release);
@@ -83,75 +98,7 @@ double Histogram::mean() const noexcept {
   return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
-void Histogram::reset() noexcept {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  any_.store(false, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-// ---- HdrHistogram ---------------------------------------------------------
-
-int HdrHistogram::bucket_index(double v) noexcept {
-  if (!(v > kValueFloor)) return 0;  // also catches NaN and negatives
-  // Normalise to units of the floor, then split log2(u) into octave (the
-  // integer part, via frexp) and a linear sub-bucket within [2^o, 2^(o+1)).
-  const double u = v / kValueFloor;
-  if (!std::isfinite(u)) return kBuckets - 1;  // v / floor overflowed
-  int exp = 0;
-  const double frac = std::frexp(u, &exp);  // u = frac * 2^exp, frac in [0.5,1)
-  const int octave = exp - 1;               // u in [2^octave, 2^(octave+1))
-  if (octave >= kOctaves) return kBuckets - 1;
-  // frac*2 in [1,2) is the mantissa; its fractional part picks the sub-bucket.
-  const int sub = std::min(kSubBuckets - 1,
-                           static_cast<int>((frac * 2.0 - 1.0) * kSubBuckets));
-  return 1 + octave * kSubBuckets + sub;
-}
-
-double HdrHistogram::bucket_upper(int i) noexcept {
-  if (i <= 0) return kValueFloor;
-  const int j = std::min(i, kBuckets - 1) - 1;
-  const int octave = j / kSubBuckets;
-  const int sub = j % kSubBuckets;
-  return kValueFloor * std::ldexp(1.0 + static_cast<double>(sub + 1) / kSubBuckets,
-                                  octave);
-}
-
-void HdrHistogram::record(double v) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
-      1, std::memory_order_relaxed);
-
-  if (!any_.exchange(true, std::memory_order_acq_rel)) {
-    min_.store(v, std::memory_order_release);
-    max_.store(v, std::memory_order_release);
-    return;
-  }
-  double cur = min_.load(std::memory_order_acquire);
-  while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-  cur = max_.load(std::memory_order_acquire);
-  while (v > cur && !max_.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-}
-
-double HdrHistogram::min() const noexcept {
-  return any_.load(std::memory_order_acquire) ? min_.load(std::memory_order_acquire) : 0.0;
-}
-
-double HdrHistogram::max() const noexcept {
-  return any_.load(std::memory_order_acquire) ? max_.load(std::memory_order_acquire) : 0.0;
-}
-
-double HdrHistogram::mean() const noexcept {
-  const auto n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-double HdrHistogram::quantile(double q) const noexcept {
+double Histogram::quantile(double q) const noexcept {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
   const double qc = std::clamp(q, 0.0, 1.0);
@@ -160,7 +107,7 @@ double HdrHistogram::quantile(double q) const noexcept {
   const auto rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::ceil(qc * static_cast<double>(n))));
   std::uint64_t cum = 0;
-  for (int i = 0; i < kBuckets; ++i) {
+  for (int i = 0; i < kOverflow; ++i) {
     cum += buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
     if (cum >= rank) {
       const double hi = bucket_upper(i);
@@ -168,10 +115,12 @@ double HdrHistogram::quantile(double q) const noexcept {
       return std::clamp((lo + hi) * 0.5, min(), max());
     }
   }
-  return max();  // racing writers: counts moved under us
+  // The rank lies in the overflow bucket, whose only known bound is the
+  // largest value recorded (or racing writers moved the counts under us).
+  return max();
 }
 
-void HdrHistogram::reset() noexcept {
+void Histogram::reset() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   min_.store(0.0, std::memory_order_relaxed);
@@ -201,12 +150,11 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
   const std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.table.find(std::string(name));
   if (it == shard.table.end()) {
-    Entry e{kind, nullptr, nullptr, nullptr, nullptr};
+    Entry e{kind, nullptr, nullptr, nullptr};
     switch (kind) {
       case Entry::Kind::Counter: e.counter = std::make_unique<Counter>(); break;
       case Entry::Kind::Gauge: e.gauge = std::make_unique<Gauge>(); break;
       case Entry::Kind::Histogram: e.histogram = std::make_unique<Histogram>(); break;
-      case Entry::Kind::Hdr: e.hdr = std::make_unique<HdrHistogram>(); break;
     }
     it = shard.table.emplace(std::string(name), std::move(e)).first;
   } else if (it->second.kind != kind) {
@@ -228,10 +176,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return *entry_for(name, Entry::Kind::Histogram).histogram;
 }
 
-HdrHistogram& MetricsRegistry::hdr(std::string_view name) {
-  return *entry_for(name, Entry::Kind::Hdr).hdr;
-}
-
 std::size_t MetricsRegistry::size() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
@@ -249,7 +193,6 @@ void MetricsRegistry::reset_values() {
         case Entry::Kind::Counter: entry.counter->reset(); break;
         case Entry::Kind::Gauge: entry.gauge->reset(); break;
         case Entry::Kind::Histogram: entry.histogram->reset(); break;
-        case Entry::Kind::Hdr: entry.hdr->reset(); break;
       }
     }
   }
@@ -277,13 +220,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         case Entry::Kind::Histogram: {
           const Histogram& h = *entry.histogram;
           body << "{\"type\":\"histogram\",\"count\":" << h.count()
-               << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
-               << ",\"max\":" << h.max() << ",\"mean\":" << h.mean() << "}";
-          break;
-        }
-        case Entry::Kind::Hdr: {
-          const HdrHistogram& h = *entry.hdr;
-          body << "{\"type\":\"hdr\",\"count\":" << h.count()
                << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
                << ",\"max\":" << h.max() << ",\"mean\":" << h.mean()
                << ",\"p50\":" << h.quantile(0.50) << ",\"p95\":" << h.quantile(0.95)
@@ -333,20 +269,6 @@ ScopedTimer::~ScopedTimer() {
 
 ScopedTimer time_scope(std::string_view name) {
   return ScopedTimer(enabled() ? &MetricsRegistry::global().histogram(name) : nullptr);
-}
-
-HdrScopedTimer::HdrScopedTimer(HdrHistogram* h) noexcept : histogram_(h) {
-  if (histogram_ != nullptr) start_ns_ = now_ns();
-}
-
-HdrScopedTimer::~HdrScopedTimer() {
-  if (histogram_ != nullptr) {
-    histogram_->record(static_cast<double>(now_ns() - start_ns_) * 1e-9);
-  }
-}
-
-HdrScopedTimer hdr_time_scope(std::string_view name) {
-  return HdrScopedTimer(enabled() ? &MetricsRegistry::global().hdr(name) : nullptr);
 }
 
 }  // namespace harmony::obs

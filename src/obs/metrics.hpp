@@ -69,53 +69,24 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution summary: count/sum/min/max plus base-2 log-scale buckets
-/// (values below 1e-9 land in bucket 0; each bucket doubles). All updates
-/// are atomic, so concurrent record() calls never lose counts.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-  static constexpr double kBucketFloor = 1e-9;  ///< bucket 0 upper bound
-
-  void record(double v) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double min() const noexcept;  ///< 0 when empty
-  [[nodiscard]] double max() const noexcept;  ///< 0 when empty
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] std::uint64_t bucket(int i) const noexcept {
-    return buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-  }
-  /// Index of the log-2 bucket a value falls into (exposed for tests).
-  [[nodiscard]] static int bucket_index(double v) noexcept;
-  void reset() noexcept;
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-  std::atomic<bool> any_{false};
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-};
-
-/// High-dynamic-range distribution: log-linear buckets — 64 linear
-/// sub-buckets per power-of-two octave — bound the relative quantile error at
-/// ~1.6% anywhere in the range [1e-9, ~1.8e4] (seconds, say), which the
-/// base-2 Histogram's factor-of-two buckets cannot do. quantile(q) scans the
+/// Distribution summary: count/sum/min/max plus high-dynamic-range
+/// log-linear buckets — 64 linear sub-buckets per power-of-two octave —
+/// which bound the relative quantile error at ~1.6% anywhere in the range
+/// [1e-9, ~1.8e4] (seconds, say). Values above the top octave land in one
+/// overflow bucket with no finite upper bound. quantile(q) scans the
 /// cumulative counts and returns the matched bucket's midpoint clamped to the
-/// observed [min, max], so a single-valued distribution reports that value
-/// exactly. All updates are relaxed/CAS atomics; record() never allocates.
-class HdrHistogram {
+/// observed [min, max] (so a single-valued distribution reports that value
+/// exactly), or max() when q falls in the overflow bucket. All updates are
+/// relaxed/CAS atomics; record() never allocates.
+class Histogram {
  public:
   static constexpr int kSubBits = 6;  ///< 2^6 linear sub-buckets per octave
   static constexpr int kSubBuckets = 1 << kSubBits;
   static constexpr int kOctaves = 44;
-  static constexpr int kBuckets = 1 + kOctaves * kSubBuckets;
   static constexpr double kValueFloor = 1e-9;  ///< bucket 0 upper bound
+  /// Bucket of values above the top octave (kValueFloor * 2^kOctaves).
+  static constexpr int kOverflow = 1 + kOctaves * kSubBuckets;
+  static constexpr int kBuckets = kOverflow + 1;
 
   void record(double v) noexcept;
 
@@ -131,8 +102,8 @@ class HdrHistogram {
   [[nodiscard]] std::uint64_t bucket(int i) const noexcept {
     return buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
   }
-  /// Bucket a value falls into / that bucket's upper bound (exposed for the
-  /// Prometheus renderer and for tests).
+  /// Bucket a value falls into / that bucket's upper bound (+inf for
+  /// kOverflow). Exposed for the Prometheus renderer and for tests.
   [[nodiscard]] static int bucket_index(double v) noexcept;
   [[nodiscard]] static double bucket_upper(int i) noexcept;
   void reset() noexcept;
@@ -161,7 +132,6 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
-  HdrHistogram& hdr(std::string_view name);
 
   [[nodiscard]] std::size_t size() const;
 
@@ -175,8 +145,9 @@ class MetricsRegistry {
 
   /// Prometheus text exposition format (one # HELP/# TYPE block per metric,
   /// names sorted): counters become `ah_<name>_total`, gauges `ah_<name>`,
-  /// histograms the full cumulative `_bucket{le=...}/_sum/_count` family
-  /// rendered from the log-2 buckets. Dots in metric names map to
+  /// histograms the cumulative `_bucket{le=...}/_sum/_count` family on a
+  /// fixed octave layout (le = 1e-9 * 2^k, k = 0..Histogram::kOctaves, then
+  /// +Inf) plus a `_quantile` gauge family. Dots in metric names map to
   /// underscores. Served by the tuning server's METRICS verb; implemented in
   /// prometheus.cpp.
   void write_prometheus(std::ostream& os) const;
@@ -184,11 +155,10 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    enum class Kind { Counter, Gauge, Histogram, Hdr } kind;
+    enum class Kind { Counter, Gauge, Histogram } kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<HdrHistogram> hdr;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -222,11 +192,6 @@ inline void observe(std::string_view name, double v) {
   MetricsRegistry::global().histogram(name).record(v);
 }
 
-inline void hdr_observe(std::string_view name, double v) {
-  if (!enabled()) return;
-  MetricsRegistry::global().hdr(name).record(v);
-}
-
 /// RAII wall-clock timer recording seconds into a histogram on destruction.
 /// Construct via time_scope(); holds nullptr (and touches no clock) when
 /// observability is disabled at construction time.
@@ -243,22 +208,5 @@ class ScopedTimer {
 };
 
 [[nodiscard]] ScopedTimer time_scope(std::string_view name);
-
-/// RAII wall-clock timer recording seconds into an HdrHistogram on
-/// destruction. Same contract as ScopedTimer: holds nullptr (and touches no
-/// clock) when observability is disabled at construction time.
-class HdrScopedTimer {
- public:
-  explicit HdrScopedTimer(HdrHistogram* h) noexcept;
-  ~HdrScopedTimer();
-  HdrScopedTimer(const HdrScopedTimer&) = delete;
-  HdrScopedTimer& operator=(const HdrScopedTimer&) = delete;
-
- private:
-  HdrHistogram* histogram_;
-  std::uint64_t start_ns_ = 0;
-};
-
-[[nodiscard]] HdrScopedTimer hdr_time_scope(std::string_view name);
 
 }  // namespace harmony::obs

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <sstream>
@@ -71,44 +70,20 @@ void render_help_type(std::ostream& os, const std::string& pname,
   os << "# TYPE " << pname << " " << type << "\n";
 }
 
-/// Upper bound of log-2 bucket `i` (see Histogram::bucket_index): bucket 0
-/// ends at kBucketFloor, bucket i at kBucketFloor * 2^i.
-double bucket_upper_bound(int i) {
-  return Histogram::kBucketFloor * std::ldexp(1.0, i);
-}
-
 void render_histogram(std::ostream& os, const std::string& name,
                       const std::string& source_name, const Histogram& h) {
   render_help_type(os, name, source_name, "histogram");
-  // Emit up to the highest non-empty bucket (at least bucket 0) so typical
-  // timer histograms stay a dozen lines, not kBuckets.
-  int top = 0;
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    if (h.bucket(i) > 0) top = i;
-  }
+  // The fine log-linear buckets coarsen to one fixed series per octave
+  // boundary, le = kValueFloor * 2^k: every family exposes the same series
+  // whatever was recorded. The overflow bucket has no finite bound, so its
+  // values count only under +Inf.
   std::uint64_t cumulative = 0;
-  for (int i = 0; i <= top; ++i) {
+  for (int i = 0; i < Histogram::kOverflow; ++i) {
     cumulative += h.bucket(i);
-    os << name << "_bucket{le=\"" << prometheus_escape(render_double(bucket_upper_bound(i)))
-       << "\"} " << cumulative << "\n";
-  }
-  os << name << "_bucket{le=\"+Inf\"} " << h.count() << "\n";
-  os << name << "_sum " << render_double(h.sum()) << "\n";
-  os << name << "_count " << h.count() << "\n";
-}
-
-void render_hdr(std::ostream& os, const std::string& name,
-                const std::string& source_name, const HdrHistogram& h) {
-  render_help_type(os, name, source_name, "histogram");
-  // The log-linear layout has thousands of buckets; emit only the non-empty
-  // ones (cumulative counts stay correct — skipped buckets add nothing).
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < HdrHistogram::kBuckets; ++i) {
-    const std::uint64_t n = h.bucket(i);
-    if (n == 0) continue;
-    cumulative += n;
-    os << name << "_bucket{le=\"" << prometheus_escape(render_double(HdrHistogram::bucket_upper(i)))
-       << "\"} " << cumulative << "\n";
+    if (i % Histogram::kSubBuckets != 0) continue;  // not an octave boundary
+    os << name << "_bucket{le=\""
+       << prometheus_escape(render_double(Histogram::bucket_upper(i))) << "\"} "
+       << cumulative << "\n";
   }
   os << name << "_bucket{le=\"+Inf\"} " << h.count() << "\n";
   os << name << "_sum " << render_double(h.sum()) << "\n";
@@ -148,9 +123,6 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
           break;
         case Entry::Kind::Histogram:
           render_histogram(body, pname, name, *entry.histogram);
-          break;
-        case Entry::Kind::Hdr:
-          render_hdr(body, pname, name, *entry.hdr);
           break;
       }
       rows.push_back({pname, body.str()});

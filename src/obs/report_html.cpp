@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
-
-#include "obs/json.hpp"
 
 namespace harmony::obs {
 
@@ -47,21 +44,26 @@ std::string fmt(double v, int precision = 6) {
   return os.str();
 }
 
-/// Events ordered the way a convergence plot wants them: by start time,
-/// lanes breaking ties (same ordering SearchTracer::events() uses).
-std::vector<TraceEvent> sorted_by_start(std::vector<TraceEvent> events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
+/// The evaluation spans, ordered the way a convergence plot wants them: by
+/// start time, lanes breaking ties (same ordering SearchTracer::spans()
+/// uses).
+std::vector<SpanEvent> evaluations(const std::vector<SpanEvent>& spans) {
+  std::vector<SpanEvent> out;
+  for (const auto& s : spans) {
+    if (s.is_eval()) out.push_back(s);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) {
                      if (a.t_start_us != b.t_start_us) {
                        return a.t_start_us < b.t_start_us;
                      }
                      return a.thread_lane < b.thread_lane;
                    });
-  return events;
+  return out;
 }
 
 /// Distinct strategy names in order of first appearance (stable color map).
-std::vector<std::string> strategy_order(const std::vector<TraceEvent>& events) {
+std::vector<std::string> strategy_order(const std::vector<SpanEvent>& events) {
   std::vector<std::string> out;
   for (const auto& e : events) {
     if (std::find(out.begin(), out.end(), e.strategy) == out.end()) {
@@ -90,113 +92,11 @@ void empty_chart(std::ostream& os, int width, int height, const char* cls) {
 
 }  // namespace
 
-std::vector<TraceEvent> load_trace_jsonl(std::istream& is,
-                                         std::size_t* skipped) {
-  std::vector<TraceEvent> out;
-  std::size_t bad = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto v = json_parse(line);
-    if (!v || !v->is_object()) {
-      ++bad;
-      continue;
-    }
-    // Span records (tracing PRs onward) share the file but not the schema;
-    // they are not evaluations, so the report skips them silently.
-    if (v->find("kind") != nullptr) continue;
-    TraceEvent e;
-    e.strategy = v->string_or("strategy", "");
-    e.point = v->string_or("point", "");
-    // write_jsonl serializes non-finite objectives as null.
-    const JsonValue* obj = v->find("objective");
-    e.objective = (obj != nullptr && obj->is_number())
-                      ? obj->as_number()
-                      : std::numeric_limits<double>::infinity();
-    const JsonValue* valid = v->find("valid");
-    e.valid = valid != nullptr && valid->is_bool() ? valid->as_bool() : true;
-    const JsonValue* hit = v->find("cache_hit");
-    e.cache_hit = hit != nullptr && hit->is_bool() && hit->as_bool();
-    e.thread_lane = static_cast<std::uint32_t>(v->number_or("thread", 0.0));
-    e.t_start_us = v->number_or("t_start_us", 0.0);
-    e.t_end_us = v->number_or("t_end_us", 0.0);
-    out.push_back(std::move(e));
-  }
-  if (skipped != nullptr) *skipped = bad;
-  return out;
-}
-
-std::vector<MergedSpan> load_span_jsonl(std::istream& is,
-                                        std::size_t* skipped) {
-  std::vector<MergedSpan> out;
-  std::size_t bad = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto v = json_parse(line);
-    if (!v || !v->is_object()) {
-      ++bad;
-      continue;
-    }
-    const JsonValue* kind = v->find("kind");
-    if (kind == nullptr || !kind->is_string() || kind->as_string() != "span") {
-      continue;  // evaluation line, shared file
-    }
-    MergedSpan s;
-    s.trace_id = v->string_or("trace", "");
-    s.span_id = v->string_or("span", "");
-    s.parent_span = v->string_or("parent", "");
-    s.name = v->string_or("name", "");
-    s.detail = v->string_or("detail", "");
-    s.thread_lane = static_cast<std::uint32_t>(v->number_or("thread", 0.0));
-    // The anchor is the tracer's wall-clock time at its steady-epoch zero;
-    // adding it turns per-process relative microseconds into a shared axis.
-    const double anchor = v->number_or("anchor_us", 0.0);
-    s.t_start_us = anchor + v->number_or("t_start_us", 0.0);
-    s.t_end_us = anchor + v->number_or("t_end_us", 0.0);
-    out.push_back(std::move(s));
-  }
-  if (skipped != nullptr) *skipped = bad;
-  return out;
-}
-
-void write_merged_chrome_trace(
-    std::ostream& os,
-    const std::vector<std::pair<std::string, std::vector<MergedSpan>>>& inputs) {
-  double t0 = std::numeric_limits<double>::infinity();
-  for (const auto& [label, spans] : inputs) {
-    for (const auto& s : spans) t0 = std::min(t0, s.t_start_us);
-  }
-  if (!std::isfinite(t0)) t0 = 0.0;
-
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (std::size_t pid = 0; pid < inputs.size(); ++pid) {
-    const auto& [label, spans] = inputs[pid];
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(label) << "\"}}";
-    for (const auto& s : spans) {
-      os << ",{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\"span\""
-         << ",\"ph\":\"X\",\"ts\":" << fmt(s.t_start_us - t0, 17)
-         << ",\"dur\":" << fmt(std::max(0.0, s.t_end_us - s.t_start_us), 17)
-         << ",\"pid\":" << pid << ",\"tid\":" << s.thread_lane
-         << ",\"args\":{\"trace\":\"" << json_escape(s.trace_id)
-         << "\",\"span\":\"" << json_escape(s.span_id) << "\",\"parent\":\""
-         << json_escape(s.parent_span) << "\",\"detail\":\""
-         << json_escape(s.detail) << "\"}}";
-    }
-  }
-  os << "]}\n";
-}
-
-void write_convergence_svg(std::ostream& os,
-                           const std::vector<TraceEvent>& events,
+void write_convergence_svg(std::ostream& os, const std::vector<SpanEvent>& spans,
                            const HtmlReportOptions& opts) {
   const int width = opts.width;
   const int height = opts.curve_height;
-  const auto evs = sorted_by_start(events);
+  const auto evs = evaluations(spans);
 
   // Best-so-far trajectory over finite, valid objectives.
   std::vector<double> best_so_far(evs.size(),
@@ -277,9 +177,10 @@ void write_convergence_svg(std::ostream& os,
   os << "\"/>\n</svg>\n";
 }
 
-void write_timeline_svg(std::ostream& os, const std::vector<TraceEvent>& events,
+void write_timeline_svg(std::ostream& os, const std::vector<SpanEvent>& spans,
                         const HtmlReportOptions& opts) {
   const int width = opts.width;
+  const auto events = evaluations(spans);
   if (events.empty()) {
     empty_chart(os, width, 3 * opts.lane_height, "timeline");
     return;
@@ -321,21 +222,22 @@ void write_timeline_svg(std::ostream& os, const std::vector<TraceEvent>& events,
     const int y = kMarginTop +
                   static_cast<int>(e.thread_lane) * opts.lane_height + 3;
     const char* color = color_for(order, e.strategy);
-    os << "<rect class=\"" << (e.cache_hit ? "hit" : "eval") << "\" x=\""
+    const bool hit = e.cache_hit();
+    os << "<rect class=\"" << (hit ? "hit" : "eval") << "\" x=\""
        << fmt(x0, 7) << "\" y=\"" << y << "\" width=\"" << fmt(x1 - x0, 7)
        << "\" height=\"" << opts.lane_height - 6 << "\" fill=\"" << color
-       << "\" fill-opacity=\"" << (e.cache_hit ? "0.25" : "0.85")
-       << "\" stroke=\"" << color << "\"><title>" << html_escape(e.point)
-       << " = " << fmt(e.objective) << (e.cache_hit ? " (cache hit)" : "")
+       << "\" fill-opacity=\"" << (hit ? "0.25" : "0.85")
+       << "\" stroke=\"" << color << "\"><title>" << html_escape(e.detail)
+       << " = " << fmt(e.objective) << (hit ? " (cache hit)" : "")
        << "</title></rect>\n";
   }
 
   // Time axis + strategy legend.
   const int axis_y = kMarginTop + lanes * opts.lane_height + 16;
   os << "<text x=\"" << kMarginLeft << "\" y=\"" << axis_y
-     << "\" class=\"axis\">" << fmt(t_lo / 1000.0, 5) << " ms</text>\n";
+     << "\" class=\"axis\">0 ms</text>\n";
   os << "<text x=\"" << width - kMarginRight << "\" y=\"" << axis_y
-     << "\" text-anchor=\"end\" class=\"axis\">" << fmt(t_hi / 1000.0, 5)
+     << "\" text-anchor=\"end\" class=\"axis\">" << fmt((t_hi - t_lo) / 1000.0, 5)
      << " ms</text>\n";
   int lx = kMarginLeft;
   const int ly = axis_y + legend_h;
@@ -349,25 +251,29 @@ void write_timeline_svg(std::ostream& os, const std::vector<TraceEvent>& events,
   os << "</svg>\n";
 }
 
-void write_html_report(std::ostream& os, const std::vector<TraceEvent>& events,
+void write_html_report(std::ostream& os, const std::vector<SpanEvent>& spans,
                        const BenchReport* bench, const HtmlReportOptions& opts) {
   // Summary numbers from the trace itself.
+  const auto events = evaluations(spans);
   std::size_t cache_hits = 0;
   std::size_t invalid = 0;
   double best = std::numeric_limits<double>::infinity();
   std::string best_point;
-  double wall_us = 0.0;
+  double t_lo = std::numeric_limits<double>::infinity();
+  double t_hi = 0.0;
   std::uint32_t max_lane = 0;
   for (const auto& e : events) {
-    if (e.cache_hit) ++cache_hits;
+    if (e.cache_hit()) ++cache_hits;
     if (!e.valid) ++invalid;
     if (e.valid && std::isfinite(e.objective) && e.objective < best) {
       best = e.objective;
-      best_point = e.point;
+      best_point = e.detail;
     }
-    wall_us = std::max(wall_us, e.t_end_us);
+    t_lo = std::min(t_lo, e.t_start_us);
+    t_hi = std::max(t_hi, e.t_end_us);
     max_lane = std::max(max_lane, e.thread_lane);
   }
+  const double wall_us = events.empty() ? 0.0 : std::max(0.0, t_hi - t_lo);
   const double hit_rate =
       events.empty() ? 0.0
                      : 100.0 * static_cast<double>(cache_hits) /
@@ -427,7 +333,7 @@ void write_html_report(std::ostream& os, const std::vector<TraceEvent>& events,
     for (const auto& e : events) {
       if (e.strategy != s) continue;
       ++count;
-      if (e.cache_hit) ++hits;
+      if (e.cache_hit()) ++hits;
       if (e.valid && std::isfinite(e.objective)) s_best = std::min(s_best, e.objective);
     }
     os << "<tr><td>" << html_escape(s) << "</td><td>" << count << "</td><td>"

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file report_html.hpp
-/// Self-contained HTML session reports rendered from SearchTracer JSONL
-/// traces and BenchReport JSON — the browsable counterpart of the paper's
-/// convergence figures (Figs. 2-6 are all trajectory plots). The emitted
+/// Self-contained HTML session reports rendered from the evaluation spans of
+/// a SearchTracer JSONL trace (see load_trace_jsonl) and BenchReport JSON —
+/// the browsable counterpart of the paper's convergence figures (Figs. 2-6
+/// are all trajectory plots). The emitted
 /// document embeds everything inline (CSS + SVG, no scripts, no external
 /// fetches), so a CI artifact opens directly in a browser:
 ///
@@ -19,11 +20,8 @@
 /// The library half lives here so tests can exercise the renderer directly;
 /// `tools/report_gen` is the thin CLI that CI runs over bench artifacts.
 
-#include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/bench_report.hpp"
@@ -38,54 +36,19 @@ struct HtmlReportOptions {
   int lane_height = 26;   ///< per-lane row height in the timeline
 };
 
-/// Parse a SearchTracer::write_jsonl export. Lines that fail to parse are
-/// skipped (counted in `*skipped` when non-null), so a truncated trace from
-/// a crashed run still renders.
-[[nodiscard]] std::vector<TraceEvent> load_trace_jsonl(std::istream& is,
-                                                       std::size_t* skipped = nullptr);
-
-/// One span parsed back from a write_jsonl export ("kind":"span" lines).
-/// Ids stay hex strings (64-bit values do not survive a double round trip);
-/// the timestamps have already been shifted onto the writing process's
-/// wall clock via the per-line anchor, so spans from different processes
-/// of the same distributed request line up on a shared axis.
-struct MergedSpan {
-  std::string trace_id;
-  std::string span_id;
-  std::string parent_span;
-  std::string name;
-  std::string detail;
-  std::uint32_t thread_lane = 0;
-  double t_start_us = 0.0;  ///< wall-clock unix microseconds
-  double t_end_us = 0.0;
-};
-
-/// Parse only the span lines of a write_jsonl export (evaluation lines are
-/// skipped; unparseable lines are counted in `*skipped` when non-null).
-[[nodiscard]] std::vector<MergedSpan> load_span_jsonl(std::istream& is,
-                                                      std::size_t* skipped = nullptr);
-
-/// Merge span files from several processes into one Chrome trace-viewer
-/// document: one pid per input (named by its label), tid = recording lane,
-/// trace/span/parent ids in each slice's args so a distributed request can
-/// be followed across the server and its workers by trace id. Timestamps
-/// are rebased to the earliest span so the viewer opens at t=0.
-void write_merged_chrome_trace(
-    std::ostream& os,
-    const std::vector<std::pair<std::string, std::vector<MergedSpan>>>& inputs);
-
-/// Render the full report document. `bench` may be null (trace-only report).
-void write_html_report(std::ostream& os, const std::vector<TraceEvent>& events,
+/// Render the full report document from the evaluation spans
+/// (SpanEvent::is_eval) among `spans`; other spans are ignored. `bench` may
+/// be null (trace-only report).
+void write_html_report(std::ostream& os, const std::vector<SpanEvent>& spans,
                        const BenchReport* bench,
                        const HtmlReportOptions& opts = {});
 
 /// Just the convergence-curve SVG element (exposed for tests/embedding).
-void write_convergence_svg(std::ostream& os,
-                           const std::vector<TraceEvent>& events,
+void write_convergence_svg(std::ostream& os, const std::vector<SpanEvent>& spans,
                            const HtmlReportOptions& opts = {});
 
 /// Just the per-lane evaluation-timeline SVG element.
-void write_timeline_svg(std::ostream& os, const std::vector<TraceEvent>& events,
+void write_timeline_svg(std::ostream& os, const std::vector<SpanEvent>& spans,
                         const HtmlReportOptions& opts = {});
 
 }  // namespace harmony::obs

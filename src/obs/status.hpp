@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // HdrHistogram for the latency board
+#include "obs/metrics.hpp"  // Histogram for the latency board
 
 namespace harmony::obs {
 
@@ -149,7 +149,7 @@ class StatusRegistry {
   /// ServerOptions::slow_request_us bump `slow_requests`. Serialized by
   /// write_json as the top-level "latency" object.
   struct LatencyBoard {
-    HdrHistogram request_s;
+    Histogram request_s;
     std::atomic<std::uint64_t> slow_requests{0};
   };
   [[nodiscard]] LatencyBoard& latency() noexcept { return latency_; }
@@ -165,7 +165,7 @@ class StatusRegistry {
     std::atomic<std::int64_t> sessions{0};  ///< live admitted sessions
     std::atomic<std::uint64_t> evals{0};    ///< completed report round trips
     std::atomic<std::uint64_t> shed{0};     ///< quota rejections (retry-after)
-    HdrHistogram request_s;                 ///< per-tenant request latency
+    Histogram request_s;                    ///< per-tenant request latency
   };
 
   /// Copy-out snapshot of one tenant slot for STATUS serialization.

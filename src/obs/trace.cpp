@@ -4,7 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -39,6 +42,10 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::uint64_t parse_hex_id(const std::string& s) {
+  return static_cast<std::uint64_t>(std::strtoull(s.c_str(), nullptr, 16));
+}
+
 }  // namespace
 
 std::uint64_t next_trace_id() noexcept {
@@ -49,6 +56,22 @@ std::uint64_t next_trace_id() noexcept {
     id = splitmix64(counter.fetch_add(1, std::memory_order_relaxed));
   }
   return id;
+}
+
+SpanEvent eval_span(std::uint64_t trace_id, std::string strategy,
+                    std::string point, double objective, bool valid,
+                    bool cache_hit, double t_start_us, double t_end_us) {
+  SpanEvent s;
+  s.trace_id = trace_id;
+  s.span_id = next_trace_id();
+  s.name = cache_hit ? kCacheSpan : kEvalSpan;
+  s.detail = std::move(point);
+  s.strategy = std::move(strategy);
+  s.objective = objective;
+  s.valid = valid;
+  s.t_start_us = t_start_us;
+  s.t_end_us = t_end_us;
+  return s;
 }
 
 SearchTracer::SearchTracer()
@@ -74,15 +97,7 @@ std::uint32_t SearchTracer::lane_for_current_thread() {
   return lane;
 }
 
-void SearchTracer::record(TraceEvent e) {
-  e.thread_lane = lane_for_current_thread();
-  Shard& shard = shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-                         shards_.size()];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.events.push_back(std::move(e));
-}
-
-void SearchTracer::record_span(SpanEvent s) {
+void SearchTracer::record(SpanEvent s) {
   s.thread_lane = lane_for_current_thread();
   Shard& shard = shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) %
                          shards_.size()];
@@ -106,36 +121,11 @@ std::vector<SpanEvent> SearchTracer::spans() const {
   return out;
 }
 
-std::size_t SearchTracer::span_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.spans.size();
-  }
-  return n;
-}
-
-std::vector<TraceEvent> SearchTracer::events() const {
-  std::vector<TraceEvent> out;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    out.insert(out.end(), shard.events.begin(), shard.events.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.t_start_us != b.t_start_us) {
-                       return a.t_start_us < b.t_start_us;
-                     }
-                     return a.thread_lane < b.thread_lane;
-                   });
-  return out;
-}
-
 std::size_t SearchTracer::size() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.events.size();
+    n += shard.spans.size();
   }
   return n;
 }
@@ -148,7 +138,6 @@ std::size_t SearchTracer::lanes() const {
 void SearchTracer::clear() {
   for (auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.events.clear();
     shard.spans.clear();
   }
   const std::lock_guard<std::mutex> lock(lanes_mutex_);
@@ -156,22 +145,15 @@ void SearchTracer::clear() {
 }
 
 void SearchTracer::write_jsonl(std::ostream& os) const {
-  for (const auto& e : events()) {
-    os << "{\"strategy\":\"" << json_escape(e.strategy) << "\""
-       << ",\"point\":\"" << json_escape(e.point) << "\""
-       << ",\"objective\":" << json_number(e.objective)
-       << ",\"valid\":" << (e.valid ? "true" : "false")
-       << ",\"cache_hit\":" << (e.cache_hit ? "true" : "false")
-       << ",\"thread\":" << e.thread_lane
-       << ",\"t_start_us\":" << json_number(e.t_start_us)
-       << ",\"t_end_us\":" << json_number(e.t_end_us) << "}\n";
-  }
   for (const auto& s : spans()) {
-    os << "{\"kind\":\"span\",\"trace\":\"" << hex_id(s.trace_id) << "\""
+    os << "{\"trace\":\"" << hex_id(s.trace_id) << "\""
        << ",\"span\":\"" << hex_id(s.span_id) << "\""
        << ",\"parent\":\"" << hex_id(s.parent_span) << "\""
        << ",\"name\":\"" << json_escape(s.name) << "\""
        << ",\"detail\":\"" << json_escape(s.detail) << "\""
+       << ",\"strategy\":\"" << json_escape(s.strategy) << "\""
+       << ",\"objective\":" << json_number(s.objective)
+       << ",\"valid\":" << (s.valid ? "true" : "false")
        << ",\"thread\":" << s.thread_lane
        << ",\"t_start_us\":" << json_number(s.t_start_us)
        << ",\"t_end_us\":" << json_number(s.t_end_us)
@@ -180,11 +162,54 @@ void SearchTracer::write_jsonl(std::ostream& os) const {
 }
 
 void SearchTracer::write_chrome_trace(std::ostream& os) const {
-  const auto evs = events();
-  const auto sps = spans();
-  std::uint32_t max_lane = 0;
-  for (const auto& e : evs) max_lane = std::max(max_lane, e.thread_lane);
-  for (const auto& s : sps) max_lane = std::max(max_lane, s.thread_lane);
+  obs::write_chrome_trace(os, {{"harmony", spans()}});
+}
+
+std::vector<SpanEvent> load_trace_jsonl(std::istream& is, std::size_t* skipped) {
+  std::vector<SpanEvent> out;
+  std::size_t bad = 0;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    const auto v = json_parse(line);
+    if (!v || !v->is_object()) {
+      ++bad;
+      continue;
+    }
+    SpanEvent s;
+    s.trace_id = parse_hex_id(v->string_or("trace", ""));
+    s.span_id = parse_hex_id(v->string_or("span", ""));
+    s.parent_span = parse_hex_id(v->string_or("parent", ""));
+    s.name = v->string_or("name", "");
+    s.detail = v->string_or("detail", "");
+    s.strategy = v->string_or("strategy", "");
+    // write_jsonl serializes non-finite objectives as null.
+    const JsonValue* obj = v->find("objective");
+    s.objective = (obj != nullptr && obj->is_number())
+                      ? obj->as_number()
+                      : std::numeric_limits<double>::infinity();
+    const JsonValue* valid = v->find("valid");
+    s.valid = valid == nullptr || !valid->is_bool() || valid->as_bool();
+    s.thread_lane = static_cast<std::uint32_t>(v->number_or("thread", 0.0));
+    // The anchor is the tracer's wall-clock time at its steady-epoch zero;
+    // adding it turns per-process relative microseconds into a shared axis.
+    const double anchor = v->number_or("anchor_us", 0.0);
+    s.t_start_us = anchor + v->number_or("t_start_us", 0.0);
+    s.t_end_us = anchor + v->number_or("t_end_us", 0.0);
+    out.push_back(std::move(s));
+  }
+  if (skipped != nullptr) *skipped = bad;
+  return out;
+}
+
+void write_chrome_trace(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::vector<SpanEvent>>>& inputs) {
+  double t0 = std::numeric_limits<double>::infinity();
+  for (const auto& [label, spans] : inputs) {
+    for (const auto& s : spans) t0 = std::min(t0, s.t_start_us);
+  }
+  if (!std::isfinite(t0)) t0 = 0.0;
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -192,42 +217,40 @@ void SearchTracer::write_chrome_trace(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
   };
-
-  // Lane labels so chrome://tracing shows "worker 0..N" instead of raw tids.
-  if (!evs.empty() || !sps.empty()) {
-    for (std::uint32_t lane = 0; lane <= max_lane; ++lane) {
+  for (std::size_t pid = 0; pid < inputs.size(); ++pid) {
+    const auto& [label, spans] = inputs[pid];
+    comma();
+    os << "{\"ph\":\"M\",\"pid\":" << pid
+       << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""
+       << json_escape(label) << "\"}}";
+    // Lane labels so the viewer shows "lane 0..N" instead of raw tids.
+    std::uint32_t lanes = 0;
+    for (const auto& s : spans) lanes = std::max(lanes, s.thread_lane + 1);
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
       comma();
-      os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << lane
-         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"worker " << lane
+      os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << lane
+         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"lane " << lane
          << "\"}}";
     }
+    for (const auto& s : spans) {
+      comma();
+      os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << s.thread_lane
+         << ",\"ts\":" << json_number(s.t_start_us - t0)
+         << ",\"dur\":" << json_number(std::max(0.0, s.t_end_us - s.t_start_us))
+         << ",\"cat\":\"span\",\"name\":\"" << json_escape(s.name)
+         << "\",\"args\":{\"trace\":\"" << hex_id(s.trace_id)
+         << "\",\"span\":\"" << hex_id(s.span_id)
+         << "\",\"parent\":\"" << hex_id(s.parent_span)
+         << "\",\"detail\":\"" << json_escape(s.detail) << "\"";
+      if (s.is_eval()) {
+        os << ",\"strategy\":\"" << json_escape(s.strategy)
+           << "\",\"objective\":" << json_number(s.objective)
+           << ",\"valid\":" << (s.valid ? "true" : "false");
+      }
+      os << "}}";
+    }
   }
-
-  for (const auto& e : evs) {
-    comma();
-    const double dur = std::max(0.0, e.t_end_us - e.t_start_us);
-    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << e.thread_lane
-       << ",\"ts\":" << json_number(e.t_start_us)
-       << ",\"dur\":" << json_number(dur) << ",\"cat\":\""
-       << (e.cache_hit ? "cache" : "eval") << "\",\"name\":\""
-       << json_escape(e.point) << "\",\"args\":{\"strategy\":\""
-       << json_escape(e.strategy) << "\",\"objective\":"
-       << json_number(e.objective) << ",\"valid\":" << (e.valid ? "true" : "false")
-       << ",\"cache_hit\":" << (e.cache_hit ? "true" : "false") << "}}";
-  }
-  for (const auto& s : sps) {
-    comma();
-    const double dur = std::max(0.0, s.t_end_us - s.t_start_us);
-    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.thread_lane
-       << ",\"ts\":" << json_number(s.t_start_us)
-       << ",\"dur\":" << json_number(dur)
-       << ",\"cat\":\"span\",\"name\":\"" << json_escape(s.name)
-       << "\",\"args\":{\"trace\":\"" << hex_id(s.trace_id)
-       << "\",\"span\":\"" << hex_id(s.span_id)
-       << "\",\"parent\":\"" << hex_id(s.parent_span)
-       << "\",\"detail\":\"" << json_escape(s.detail) << "\"}}";
-  }
-  os << "]}";
+  os << "]}\n";
 }
 
 }  // namespace harmony::obs

@@ -127,11 +127,11 @@ TEST(EventLoopDefer, StopWhileProducersAreDeferring) {
 }
 
 // Defer-queue residency: with observability on, every drained defer records
-// its cross-thread handoff wait into the "net.loop.defer_wait_s" HDR
-// histogram (nothing is recorded while observability is off).
-TEST(EventLoopDefer, HdrDeferWaitRecordedWhenObsEnabled) {
+// its cross-thread handoff wait into the "net.loop.defer_wait_s" histogram
+// (nothing is recorded while observability is off).
+TEST(EventLoopDefer, DeferWaitRecordedWhenObsEnabled) {
   namespace obs = harmony::obs;
-  auto& hist = obs::MetricsRegistry::global().hdr("net.loop.defer_wait_s");
+  auto& hist = obs::MetricsRegistry::global().histogram("net.loop.defer_wait_s");
   const bool was = obs::enabled();
   obs::set_enabled(false);
 

@@ -159,7 +159,7 @@ TEST(TraceContextPlumbing, UntracedRequestsRecordNoSpans) {
                                       /*evals=*/1);  // i=0 only: no token
   server.stop();
   ASSERT_EQ(sent, 0);
-  EXPECT_EQ(tracer.span_count(), 0u);
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
 TEST(SlowRequestLog, OverBudgetRequestsLandInEventLogAndStatus) {

@@ -376,7 +376,7 @@ TEST(FleetIntegration, TraceContextUnsampledFleetRecordsNothing) {
   const auto result = run_fleet_search(f, sub->space, 4, 16);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_EQ(result.best_objective, golden.best_objective);
-  EXPECT_EQ(tracer.span_count(), 0u);
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
 }  // namespace

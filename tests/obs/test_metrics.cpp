@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,38 +67,38 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), std::logic_error);
   EXPECT_THROW(reg.histogram("x"), std::logic_error);
+  auto& h = reg.histogram("lat");
+  EXPECT_EQ(&h, &reg.histogram("lat"));
+  EXPECT_THROW(reg.counter("lat"), std::logic_error);
+  EXPECT_THROW(reg.gauge("lat"), std::logic_error);
 }
 
 TEST(MetricsRegistry, HistogramBucketsAreLogScale) {
   using H = obs::Histogram;
   EXPECT_EQ(H::bucket_index(0.0), 0);
   EXPECT_EQ(H::bucket_index(-1.0), 0);
-  EXPECT_EQ(H::bucket_index(H::kBucketFloor), 0);
-  // Each doubling advances one bucket.
-  const int b1 = H::bucket_index(1e-6);
-  EXPECT_EQ(H::bucket_index(2e-6), b1 + 1);
-  EXPECT_EQ(H::bucket_index(4e-6), b1 + 2);
-  // Huge values clamp into the last bucket instead of overflowing.
-  EXPECT_EQ(H::bucket_index(1e300), H::kBuckets - 1);
-
-  // Buckets are power-of-2 aligned to the floor: 1e-6 (1000x floor) and
-  // 0.7e-6 (700x) both land in the (512x, 1024x] bucket.
-  obs::Histogram h;
-  h.record(1e-6);
-  h.record(0.7e-6);
-  EXPECT_EQ(h.bucket(b1), 2u);
-  EXPECT_EQ(h.bucket(b1 + 1), 0u);
-  h.record(2e-6);
-  EXPECT_EQ(h.bucket(b1 + 1), 1u);
+  EXPECT_EQ(H::bucket_index(H::kValueFloor), 0);
+  // Each doubling advances one octave of kSubBuckets linear sub-buckets.
+  const int b = H::bucket_index(3e-6);
+  EXPECT_EQ(H::bucket_index(6e-6), b + H::kSubBuckets);
+  EXPECT_EQ(H::bucket_index(12e-6), b + 2 * H::kSubBuckets);
+  // Octave boundaries sit at kValueFloor * 2^k, the coarse layout the
+  // Prometheus exposition uses.
+  for (int k = 0; k <= H::kOctaves; ++k) {
+    EXPECT_EQ(H::bucket_upper(k * H::kSubBuckets), H::kValueFloor * std::ldexp(1.0, k))
+        << k;
+  }
+  // Values past the top octave (and those whose ratio to the floor
+  // overflows) land in the overflow bucket, which has no finite bound.
+  const double top = H::kValueFloor * std::ldexp(1.0, H::kOctaves);
+  EXPECT_EQ(H::bucket_index(top * 0.999), H::kOverflow - 1);
+  EXPECT_EQ(H::bucket_index(top), H::kOverflow);
+  EXPECT_EQ(H::bucket_index(1e300), H::kOverflow);
+  EXPECT_TRUE(std::isinf(H::bucket_upper(H::kOverflow)));
 }
 
-TEST(MetricsRegistry, HdrBucketsBoundRelativeError) {
-  using H = obs::HdrHistogram;
-  EXPECT_EQ(H::bucket_index(0.0), 0);
-  EXPECT_EQ(H::bucket_index(-1.0), 0);
-  EXPECT_EQ(H::bucket_index(H::kValueFloor), 0);
-  EXPECT_EQ(H::bucket_index(1e300), H::kBuckets - 1);
-
+TEST(MetricsRegistry, HistogramBucketsBoundRelativeError) {
+  using H = obs::Histogram;
   // Across nine decades, the bucket containing v has upper - lower <= v/32
   // (64 linear sub-buckets per octave -> width is 1/64 of the octave base,
   // and v is at least the octave base), so quantiles carry ~1.6% error.
@@ -116,8 +117,8 @@ TEST(MetricsRegistry, HdrBucketsBoundRelativeError) {
   }
 }
 
-TEST(MetricsRegistry, HdrQuantilesAreExactWithinBucketError) {
-  obs::HdrHistogram h;
+TEST(MetricsRegistry, HistogramQuantilesAreExactWithinBucketError) {
+  obs::Histogram h;
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty
   // 1..1000 microseconds, uniformly.
   for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i) * 1e-6);
@@ -131,47 +132,28 @@ TEST(MetricsRegistry, HdrQuantilesAreExactWithinBucketError) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 1e-6);   // clamped to observed min
 
   // A single-valued distribution reports that value exactly at any q.
-  obs::HdrHistogram one;
+  obs::Histogram one;
   one.record(3.14e-3);
   EXPECT_DOUBLE_EQ(one.quantile(0.5), 3.14e-3);
   EXPECT_DOUBLE_EQ(one.quantile(0.99), 3.14e-3);
 }
 
-TEST(MetricsRegistry, HdrRegistryEntryKindIsDistinct) {
-  obs::MetricsRegistry reg;
-  auto& h = reg.hdr("lat");
-  auto& again = reg.hdr("lat");
-  EXPECT_EQ(&h, &again);
-  EXPECT_THROW(reg.histogram("lat"), std::logic_error);
-  EXPECT_THROW(reg.counter("lat"), std::logic_error);
-  h.record(0.5);
-  reg.reset_values();
-  EXPECT_EQ(reg.hdr("lat").count(), 0u);
+TEST(MetricsRegistry, HistogramOverflowQuantileIsObservedMax) {
+  // 1e6 is past the top octave (~1.76e4). A quantile that falls in the
+  // overflow bucket reports the largest value recorded, not the midpoint of
+  // the top finite bucket.
+  obs::Histogram h;
+  h.record(1e-3);
+  h.record(1e6);
+  h.record(1e6);
+  EXPECT_EQ(h.bucket(obs::Histogram::kOverflow), 2u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 1e6);
+  EXPECT_DOUBLE_EQ(h.quantile(0.50), 1e6);
+  EXPECT_NEAR(h.quantile(0.0), 1e-3, 1e-3 * 0.02);
 
-  const std::string json = reg.to_json();
-  const auto doc = obs::json_parse(json);
-  ASSERT_TRUE(doc.has_value()) << json;
-  ASSERT_NE(doc->find("lat"), nullptr);
-  EXPECT_EQ(doc->find("lat")->string_or("type", ""), "hdr");
-  EXPECT_DOUBLE_EQ(doc->find("lat")->number_or("p99", -1), 0.0);
-}
-
-TEST(MetricsRegistry, HdrConcurrentRecordersLoseNothing) {
-  obs::HdrHistogram h;
-  constexpr int kThreads = 8;
-  constexpr int kRecords = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h, t] {
-      for (int i = 0; i < kRecords; ++i) h.record(1e-6 * (t + 1));
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kRecords);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-6);
-  EXPECT_DOUBLE_EQ(h.max(), 8e-6);
-  EXPECT_NEAR(h.quantile(0.5), 4e-6, 4e-6 * 0.02);
+  obs::Histogram huge;
+  huge.record(5e7);
+  EXPECT_DOUBLE_EQ(huge.quantile(0.5), 5e7);
 }
 
 TEST(MetricsRegistry, ResetValuesKeepsRegistrations) {
@@ -201,8 +183,10 @@ TEST(MetricsRegistry, JsonSnapshotIsValidAndSorted) {
   EXPECT_DOUBLE_EQ(doc->find("z.count")->number_or("value", -1), 2.0);
   EXPECT_EQ(doc->find("z.count")->string_or("type", ""), "counter");
   EXPECT_DOUBLE_EQ(doc->find("a.gauge")->number_or("value", 0), -1.25);
+  EXPECT_EQ(doc->find("m.hist")->string_or("type", ""), "histogram");
   EXPECT_DOUBLE_EQ(doc->find("m.hist")->number_or("count", 0), 1.0);
   EXPECT_DOUBLE_EQ(doc->find("m.hist")->number_or("mean", 0), 4.0);
+  EXPECT_DOUBLE_EQ(doc->find("m.hist")->number_or("p99", 0), 4.0);
   // Sorted keys -> deterministic output for diffing snapshots.
   EXPECT_LT(json.find("a.gauge"), json.find("m.hist"));
   EXPECT_LT(json.find("m.hist"), json.find("z.count"));
@@ -238,6 +222,7 @@ TEST(MetricsRegistry, ConcurrentCountersLoseNothing) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kIncrements);
   EXPECT_DOUBLE_EQ(h.min(), 1e-6);
   EXPECT_DOUBLE_EQ(h.max(), 8e-6);
+  EXPECT_NEAR(h.quantile(0.5), 4e-6, 4e-6 * 0.02);
 }
 
 TEST(MetricsRegistry, DisabledHelpersRecordNothing) {

@@ -3,7 +3,8 @@
 /// The METRICS protocol verb serves exactly this output (plus a trailing
 /// "# EOF" framing line added by the server), so these tests pin down the
 /// exposition-format contract: counters get a _total suffix, histograms a
-/// cumulative _bucket/_sum/_count family, names are sanitized and sorted.
+/// cumulative _bucket/_sum/_count family on a fixed octave layout plus a
+/// _quantile gauge family, names are sanitized and sorted.
 
 #include <gtest/gtest.h>
 
@@ -44,42 +45,120 @@ TEST(Prometheus, GaugeRendersPlainName) {
   EXPECT_NE(text.find("ah_sa_temperature 0.5\n"), std::string::npos);
 }
 
+/// The `le` label of every _bucket line of one family, in output order.
+std::vector<std::string> le_labels(const std::string& text,
+                                   const std::string& family) {
+  std::vector<std::string> out;
+  const std::string prefix = family + "_bucket{le=\"";
+  for (const auto& line : lines_of(text)) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const auto end = line.find('"', prefix.size());
+    out.push_back(line.substr(prefix.size(), end - prefix.size()));
+  }
+  return out;
+}
+
+/// Cumulative count of the _bucket line of `family` with label `le`.
+std::uint64_t bucket_count(const std::string& text, const std::string& family,
+                           const std::string& le) {
+  const std::string prefix = family + "_bucket{le=\"" + le + "\"} ";
+  for (const auto& line : lines_of(text)) {
+    if (line.rfind(prefix, 0) == 0) return std::stoull(line.substr(prefix.size()));
+  }
+  ADD_FAILURE() << "no bucket le=" << le << " in " << family;
+  return 0;
+}
+
 TEST(Prometheus, HistogramFamilyIsCumulativeAndConsistent) {
   obs::MetricsRegistry reg;
-  auto& h = reg.histogram("short_run_s");
-  h.record(0.125);
-  h.record(0.125);
-  h.record(2.0);
+  auto& h = reg.histogram("req_s");
+  for (int i = 0; i < 98; ++i) h.record(1e-3);
+  h.record(10e-3);
+  h.record(10e-3);
   const std::string text = reg.to_prometheus();
-  EXPECT_NE(text.find("# TYPE ah_short_run_s histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("ah_short_run_s_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("ah_short_run_s_sum 2.25\n"), std::string::npos);
-  EXPECT_NE(text.find("ah_short_run_s_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("# TYPE ah_req_s histogram\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ah_req_s_bucket{le=\"+Inf\"} 100\n"), std::string::npos);
+  EXPECT_NE(text.find("ah_req_s_count 100\n"), std::string::npos);
+  const auto sum_at = text.find("ah_req_s_sum ");
+  ASSERT_NE(sum_at, std::string::npos);
+  EXPECT_NEAR(std::stod(text.substr(sum_at + 13)), 0.118, 1e-12);
+  EXPECT_NE(text.find("# TYPE ah_req_s_quantile gauge\n"), std::string::npos);
 
   // Bucket counts must be cumulative (non-decreasing) and end at count().
   std::uint64_t prev = 0;
   std::uint64_t last = 0;
-  int buckets = 0;
   for (const auto& line : lines_of(text)) {
-    const auto pos = line.find("_bucket{le=\"");
-    if (pos == std::string::npos) continue;
-    ++buckets;
+    if (line.find("_bucket{le=\"") == std::string::npos) continue;
     const auto space = line.rfind(' ');
     ASSERT_NE(space, std::string::npos);
     last = std::stoull(line.substr(space + 1));
     EXPECT_GE(last, prev) << line;
     prev = last;
   }
-  EXPECT_GE(buckets, 2) << text;  // 0.125 and 2.0 land in distinct buckets
-  EXPECT_EQ(last, 3u);            // +Inf bucket covers everything
+  EXPECT_EQ(last, 100u);
 
-  // The le bound of the bucket a value lands in is >= the value itself
-  // (upper bounds are kBucketFloor * 2^i, matching Histogram::bucket_index).
-  const int idx = obs::Histogram::bucket_index(2.0);
-  const double ub = obs::Histogram::kBucketFloor * std::ldexp(1.0, idx);
-  EXPECT_GE(ub, 2.0);
-  EXPECT_LT(ub / 2.0, 2.0 + 1e-12);  // and is tight within one doubling
+  // Octave bounds 1e-9 * 2^k: 1 ms lies in (2^19, 2^20] ns and 10 ms in
+  // (2^23, 2^24] ns, so the count steps from 0 to 98 to 100 exactly there.
+  const auto le = [](int k) {
+    std::ostringstream os;
+    os.precision(17);
+    os << 1e-9 * std::ldexp(1.0, k);
+    return os.str();
+  };
+  EXPECT_EQ(bucket_count(text, "ah_req_s", le(19)), 0u);
+  EXPECT_EQ(bucket_count(text, "ah_req_s", le(20)), 98u);
+  EXPECT_EQ(bucket_count(text, "ah_req_s", le(23)), 98u);
+  EXPECT_EQ(bucket_count(text, "ah_req_s", le(24)), 100u);
+
+  // The quantile gauges reflect the distribution: p50 near 1ms, p99+ sees
+  // the 10ms outlier within the ~1.6% bucket error.
+  std::size_t n_quantiles = 0;
+  for (const auto& line : lines_of(text)) {
+    const auto pos = line.find("ah_req_s_quantile{quantile=\"");
+    if (pos != 0) continue;
+    ++n_quantiles;
+    const double v = std::stod(line.substr(line.rfind(' ') + 1));
+    if (line.find("\"0.5\"") != std::string::npos) {
+      EXPECT_NEAR(v, 1e-3, 2e-5) << line;
+    } else if (line.find("\"0.99\"") != std::string::npos) {
+      EXPECT_NEAR(v, 10e-3, 2e-4) << line;
+    }
+  }
+  EXPECT_EQ(n_quantiles, 3u);
+}
+
+TEST(Prometheus, HistogramFamiliesShareOneFixedLeSet) {
+  // Disjoint distributions (microseconds vs minutes) expose the same series:
+  // one le per octave bound 1e-9 * 2^k, k = 0..kOctaves, then +Inf.
+  obs::MetricsRegistry reg;
+  reg.histogram("fast_s").record(3e-6);
+  reg.histogram("slow_s").record(120.0);
+  reg.histogram("empty_s");
+  const std::string text = reg.to_prometheus();
+  const auto fast = le_labels(text, "ah_fast_s");
+  ASSERT_EQ(fast.size(), static_cast<std::size_t>(obs::Histogram::kOctaves) + 2);
+  EXPECT_EQ(fast.front(), "1.0000000000000001e-09");
+  EXPECT_EQ(fast.back(), "+Inf");
+  EXPECT_EQ(le_labels(text, "ah_slow_s"), fast);
+  EXPECT_EQ(le_labels(text, "ah_empty_s"), fast);
+}
+
+TEST(Prometheus, OverflowCountsOnlyUnderInf) {
+  // A value above the top octave bound (~1.76e4) is not <= any finite le.
+  obs::MetricsRegistry reg;
+  auto& h = reg.histogram("objective");
+  h.record(1e-3);
+  h.record(1e6);
+  h.record(1e6);
+  const std::string text = reg.to_prometheus();
+  const auto les = le_labels(text, "ah_objective");
+  ASSERT_GE(les.size(), 2u);
+  EXPECT_EQ(les[les.size() - 2], "17592.186044416001");
+  EXPECT_EQ(bucket_count(text, "ah_objective", "17592.186044416001"), 1u);
+  EXPECT_EQ(bucket_count(text, "ah_objective", "+Inf"), 3u);
+  EXPECT_NE(text.find("ah_objective_quantile{quantile=\"0.99\"} 1000000\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Prometheus, NamesAreSanitizedAndPrefixed) {
@@ -116,7 +195,7 @@ TEST(Prometheus, EveryLineIsCommentOrSample) {
   reg.counter("c").add(2);
   reg.gauge("g").set(-1.25);
   reg.histogram("h").record(1e-3);
-  reg.hdr("q").record(2e-3);
+  reg.histogram("q").record(2e6);
   for (const auto& line : lines_of(reg.to_prometheus())) {
     if (line.rfind("# TYPE ah_", 0) == 0) continue;
     if (line.rfind("# HELP ah_", 0) == 0) continue;
@@ -136,7 +215,7 @@ TEST(Prometheus, EveryFamilyHasHelpAndTypeBeforeSamples) {
   reg.counter("server.roundtrips").add(2);
   reg.gauge("pool.size").set(8);
   reg.histogram("short_run_s").record(0.25);
-  reg.hdr("server.verb.report_s").record(1e-3);
+  reg.histogram("server.verb.report_s").record(1e-3);
 
   std::string current_family;  // family announced by the last HELP/TYPE pair
   bool have_help = false;
@@ -171,7 +250,7 @@ TEST(Prometheus, EveryFamilyHasHelpAndTypeBeforeSamples) {
     ASSERT_FALSE(current_family.empty()) << "sample before any HELP: " << line;
     EXPECT_EQ(line.rfind(current_family, 0), 0u) << line;
   }
-  EXPECT_EQ(announced.size(), 5u);  // 4 metrics + the hdr quantile family
+  EXPECT_EQ(announced.size(), 6u);  // 4 metrics + 2 histogram quantile families
 }
 
 TEST(Prometheus, LabelValuesAreEscapedPerSpec) {
@@ -191,48 +270,6 @@ TEST(Prometheus, HostileMetricNameDoesNotBreakHelpLine) {
     if (line.rfind("# HELP ", 0) != 0) continue;
     EXPECT_NE(line.find("weird\\\\name\\nx"), std::string::npos) << line;
   }
-}
-
-TEST(Prometheus, HdrFamilyRendersCumulativeBucketsAndQuantiles) {
-  obs::MetricsRegistry reg;
-  auto& h = reg.hdr("req_s");
-  for (int i = 0; i < 98; ++i) h.record(1e-3);
-  h.record(10e-3);
-  h.record(10e-3);
-  const std::string text = reg.to_prometheus();
-  EXPECT_NE(text.find("# TYPE ah_req_s histogram\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("ah_req_s_bucket{le=\"+Inf\"} 100\n"), std::string::npos);
-  EXPECT_NE(text.find("ah_req_s_count 100\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE ah_req_s_quantile gauge\n"), std::string::npos);
-
-  // Cumulative, non-decreasing, ending at count().
-  std::uint64_t prev = 0;
-  std::uint64_t last = 0;
-  for (const auto& line : lines_of(text)) {
-    if (line.find("_bucket{le=\"") == std::string::npos) continue;
-    const auto space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos);
-    last = std::stoull(line.substr(space + 1));
-    EXPECT_GE(last, prev) << line;
-    prev = last;
-  }
-  EXPECT_EQ(last, 100u);
-
-  // The quantile gauges reflect the distribution: p50 near 1ms, p99+ sees
-  // the 10ms outlier within the ~1.6% bucket error.
-  std::size_t n_quantiles = 0;
-  for (const auto& line : lines_of(text)) {
-    const auto pos = line.find("ah_req_s_quantile{quantile=\"");
-    if (pos != 0) continue;
-    ++n_quantiles;
-    const double v = std::stod(line.substr(line.rfind(' ') + 1));
-    if (line.find("\"0.5\"") != std::string::npos) {
-      EXPECT_NEAR(v, 1e-3, 2e-5) << line;
-    } else if (line.find("\"0.99\"") != std::string::npos) {
-      EXPECT_NEAR(v, 10e-3, 2e-4) << line;
-    }
-  }
-  EXPECT_EQ(n_quantiles, 3u);
 }
 
 TEST(Prometheus, RendererAddsNoFramingMarker) {

@@ -1,6 +1,7 @@
 /// \file test_report_html.cpp
 /// HTML session-report renderer: trace JSONL loading (including skip-on-bad
-/// -line resilience), the convergence/timeline SVG generators, and the
+/// -line resilience), the Chrome-trace merge, the convergence/timeline SVG
+/// generators, and the
 /// acceptance-criterion end-to-end path — a real fig4-style coordinate-
 /// descent search over the POP model, traced, serialized to JSONL, loaded
 /// back, and rendered to a report containing an SVG convergence curve.
@@ -27,28 +28,22 @@ namespace obs = harmony::obs;
 
 namespace {
 
-obs::TraceEvent ev(std::string strategy, std::string point, double objective,
-                   double t0, double t1, std::uint32_t lane = 0,
-                   bool cache_hit = false, bool valid = true) {
-  obs::TraceEvent e;
-  e.strategy = std::move(strategy);
-  e.point = std::move(point);
-  e.objective = objective;
-  e.valid = valid;
-  e.cache_hit = cache_hit;
+obs::SpanEvent ev(std::string strategy, std::string point, double objective,
+                  double t0, double t1, std::uint32_t lane = 0,
+                  bool cache_hit = false, bool valid = true) {
+  obs::SpanEvent e = obs::eval_span(/*trace_id=*/1, std::move(strategy),
+                                    std::move(point), objective, valid,
+                                    cache_hit, t0, t1);
   e.thread_lane = lane;
-  e.t_start_us = t0;
-  e.t_end_us = t1;
   return e;
 }
 
 TEST(ReportHtml, LoadTraceJsonlRoundTripsTracerOutput) {
   obs::SearchTracer tracer;
-  tracer.record({"nelder-mead", "block_x=180 block_y=100", 1.5, true, false, 0,
-                 10.0, 20.0});
-  tracer.record({"nelder-mead", "block_x=240 block_y=80",
-                 std::numeric_limits<double>::infinity(), false, true, 0, 20.0,
-                 21.0});
+  tracer.record(ev("nelder-mead", "block_x=180 block_y=100", 1.5, 10.0, 20.0));
+  tracer.record(ev("nelder-mead", "block_x=240 block_y=80",
+                   std::numeric_limits<double>::infinity(), 20.0, 21.0, 0,
+                   /*cache_hit=*/true, /*valid=*/false));
   std::ostringstream os;
   tracer.write_jsonl(os);
 
@@ -58,15 +53,15 @@ TEST(ReportHtml, LoadTraceJsonlRoundTripsTracerOutput) {
   EXPECT_EQ(skipped, 0u);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].strategy, "nelder-mead");
-  EXPECT_EQ(events[0].point, "block_x=180 block_y=100");
+  EXPECT_EQ(events[0].detail, "block_x=180 block_y=100");
   EXPECT_DOUBLE_EQ(events[0].objective, 1.5);
   EXPECT_TRUE(events[0].valid);
-  EXPECT_FALSE(events[0].cache_hit);
+  EXPECT_FALSE(events[0].cache_hit());
   // Non-finite objectives serialize as null and load back as infinity.
   EXPECT_FALSE(events[1].valid);
-  EXPECT_TRUE(events[1].cache_hit);
+  EXPECT_TRUE(events[1].cache_hit());
   EXPECT_TRUE(std::isinf(events[1].objective));
-  EXPECT_DOUBLE_EQ(events[1].t_end_us, 21.0);
+  EXPECT_DOUBLE_EQ(events[1].t_end_us, 21.0 + tracer.wall_anchor_us());
 }
 
 TEST(ReportHtml, LoadSpanJsonlAppliesWallClockAnchor) {
@@ -79,50 +74,52 @@ TEST(ReportHtml, LoadSpanJsonlAppliesWallClockAnchor) {
   sp.detail = "REPORT+FETCH";
   sp.t_start_us = 100.0;
   sp.t_end_us = 250.0;
-  tracer.record_span(sp);
-  tracer.record({"s", "p", 1.0, true, false, 0, 0.0, 1.0});  // must be skipped
+  tracer.record(sp);
+  tracer.record(ev("s", "p", 1.0, 0.0, 1.0));  // an evaluation, same file
   std::ostringstream os;
   tracer.write_jsonl(os);
 
   std::istringstream in(os.str());
   std::size_t skipped = 99;
-  const auto spans = obs::load_span_jsonl(in, &skipped);
+  const auto spans = obs::load_trace_jsonl(in, &skipped);
   EXPECT_EQ(skipped, 0u);
-  ASSERT_EQ(spans.size(), 1u);  // the evaluation line is not a span
-  EXPECT_EQ(spans[0].trace_id, "0000000000000abc");
-  EXPECT_EQ(spans[0].span_id, "0000000000000001");
-  EXPECT_EQ(spans[0].parent_span, "0000000000000002");
-  EXPECT_EQ(spans[0].name, "server.handle");
-  EXPECT_EQ(spans[0].detail, "REPORT+FETCH");
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_TRUE(spans[0].is_eval());  // starts first
+  EXPECT_DOUBLE_EQ(spans[0].t_start_us, tracer.wall_anchor_us());
+  EXPECT_EQ(spans[1].trace_id, 0xabcULL);
+  EXPECT_EQ(spans[1].span_id, 0x1ULL);
+  EXPECT_EQ(spans[1].parent_span, 0x2ULL);
+  EXPECT_EQ(spans[1].name, "server.handle");
+  EXPECT_EQ(spans[1].detail, "REPORT+FETCH");
   // Loaded timestamps are tracer-relative plus the wall anchor, so spans
   // from different processes land on one shared clock.
-  EXPECT_DOUBLE_EQ(spans[0].t_start_us, 100.0 + tracer.wall_anchor_us());
-  EXPECT_DOUBLE_EQ(spans[0].t_end_us - spans[0].t_start_us, 150.0);
+  EXPECT_DOUBLE_EQ(spans[1].t_start_us, 100.0 + tracer.wall_anchor_us());
+  EXPECT_DOUBLE_EQ(spans[1].t_end_us - spans[1].t_start_us, 150.0);
 }
 
 TEST(ReportHtml, MergedChromeTraceAlignsProcessesOnSharedClock) {
   // Two "processes": a server whose span starts at wall +1000 us and a
   // worker whose nested span starts at wall +1400 us. After the merge both
   // must appear on one rebased axis with distinct pids.
-  obs::MergedSpan server_span;
-  server_span.trace_id = "00000000000000aa";
-  server_span.span_id = "0000000000000001";
+  obs::SpanEvent server_span;
+  server_span.trace_id = 0xaaULL;
+  server_span.span_id = 0x1ULL;
   server_span.name = "fleet.item";
   server_span.detail = "work 7";
   server_span.t_start_us = 1000.0;
   server_span.t_end_us = 2000.0;
-  obs::MergedSpan worker_span;
-  worker_span.trace_id = "00000000000000aa";
-  worker_span.span_id = "0000000000000002";
-  worker_span.parent_span = "0000000000000001";
+  obs::SpanEvent worker_span;
+  worker_span.trace_id = 0xaaULL;
+  worker_span.span_id = 0x2ULL;
+  worker_span.parent_span = 0x1ULL;
   worker_span.name = "worker.eval";
   worker_span.thread_lane = 3;
   worker_span.t_start_us = 1400.0;
   worker_span.t_end_us = 1900.0;
 
   std::ostringstream os;
-  obs::write_merged_chrome_trace(
-      os, {{"server", {server_span}}, {"worker", {worker_span}}});
+  obs::write_chrome_trace(os,
+                          {{"server", {server_span}}, {"worker", {worker_span}}});
   const auto doc = obs::json_parse(os.str());
   ASSERT_TRUE(doc.has_value()) << os.str();
   const auto* events = doc->find("traceEvents");
@@ -153,23 +150,25 @@ TEST(ReportHtml, MergedChromeTraceAlignsProcessesOnSharedClock) {
 
 TEST(ReportHtml, LoadTraceJsonlSkipsMalformedLines) {
   std::istringstream in(
-      "{\"strategy\":\"s\",\"point\":\"p\",\"objective\":2.0,\"valid\":true,"
-      "\"cache_hit\":false,\"thread\":1,\"t_start_us\":0,\"t_end_us\":1}\n"
+      "{\"name\":\"search.eval\",\"detail\":\"p\",\"strategy\":\"s\","
+      "\"objective\":2.0,\"valid\":true,\"thread\":1,\"t_start_us\":0,"
+      "\"t_end_us\":1}\n"
       "this is not json\n"
       "\n"
       "[1,2,3]\n"
-      "{\"strategy\":\"s\",\"point\":\"q\",\"objective\":1.0,\"valid\":true,"
-      "\"cache_hit\":false,\"thread\":0,\"t_start_us\":2,\"t_end_us\":3}\n");
+      "{\"name\":\"search.eval\",\"detail\":\"q\",\"strategy\":\"s\","
+      "\"objective\":1.0,\"valid\":true,\"thread\":0,\"t_start_us\":2,"
+      "\"t_end_us\":3}\n");
   std::size_t skipped = 0;
   const auto events = obs::load_trace_jsonl(in, &skipped);
   EXPECT_EQ(skipped, 2u);  // bad JSON + non-object; empty lines don't count
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].thread_lane, 1u);
-  EXPECT_EQ(events[1].point, "q");
+  EXPECT_EQ(events[1].detail, "q");
 }
 
 TEST(ReportHtml, ConvergenceSvgTracksBestSoFar) {
-  const std::vector<obs::TraceEvent> events = {
+  const std::vector<obs::SpanEvent> events = {
       ev("cd", "a", 5.0, 0, 1), ev("cd", "b", 3.0, 1, 2),
       ev("cd", "c", 4.0, 2, 3), ev("cd", "d", 2.0, 3, 4)};
   std::ostringstream os;
@@ -191,7 +190,7 @@ TEST(ReportHtml, ConvergenceSvgTracksBestSoFar) {
 }
 
 TEST(ReportHtml, ConvergenceSvgWithNoValidEventsRendersPlaceholder) {
-  const std::vector<obs::TraceEvent> events = {
+  const std::vector<obs::SpanEvent> events = {
       ev("cd", "a", std::numeric_limits<double>::infinity(), 0, 1, 0, false,
          /*valid=*/false)};
   std::ostringstream os;
@@ -200,7 +199,7 @@ TEST(ReportHtml, ConvergenceSvgWithNoValidEventsRendersPlaceholder) {
 }
 
 TEST(ReportHtml, TimelineSvgHasOneRowPerLaneAndHollowCacheHits) {
-  const std::vector<obs::TraceEvent> events = {
+  const std::vector<obs::SpanEvent> events = {
       ev("cd", "a", 5.0, 0, 100, 0), ev("cd", "b", 3.0, 0, 100, 1),
       ev("annealing", "c", 4.0, 100, 150, 2, /*cache_hit=*/true)};
   std::ostringstream os;
@@ -228,7 +227,7 @@ TEST(ReportHtml, ReportEmbedsBenchHeadlineAndEscapesTitle) {
 
   obs::HtmlReportOptions opts;
   opts.title = "report <with> \"markup\"";
-  const std::vector<obs::TraceEvent> events = {ev("cd", "a", 1.25, 0, 1)};
+  const std::vector<obs::SpanEvent> events = {ev("cd", "a", 1.25, 0, 1)};
   std::ostringstream os;
   obs::write_html_report(os, events, &bench, opts);
   const std::string html = os.str();
@@ -321,6 +320,17 @@ TEST(ReportHtml, Fig4StyleTraceRendersConvergenceReport) {
   EXPECT_NE(html.find("coordinate-descent"), std::string::npos);
   // The trace's best matches the tuner's best (same evaluations).
   EXPECT_NE(html.find(space.format(*result.best)), std::string::npos);
+
+  // The same loaded spans feed the Chrome-trace merge: one slice each.
+  std::ostringstream chrome;
+  obs::write_chrome_trace(chrome, {{"fig4", events}});
+  const auto doc = obs::json_parse(chrome.str());
+  ASSERT_TRUE(doc.has_value());
+  std::size_t slices = 0;
+  for (const auto& e : doc->find("traceEvents")->as_array()) {
+    if (e.string_or("ph", "") == "X") ++slices;
+  }
+  EXPECT_EQ(slices, events.size());
 }
 
 }  // namespace

@@ -18,17 +18,11 @@ namespace obs = harmony::obs;
 
 namespace {
 
-obs::TraceEvent make_event(obs::SearchTracer& tracer, const std::string& point,
-                           double objective, bool cache_hit) {
-  obs::TraceEvent e;
-  e.strategy = "test-strategy";
-  e.point = point;
-  e.objective = objective;
-  e.valid = true;
-  e.cache_hit = cache_hit;
-  e.t_start_us = tracer.now_us();
-  e.t_end_us = tracer.now_us();
-  return e;
+obs::SpanEvent make_event(obs::SearchTracer& tracer, const std::string& point,
+                          double objective, bool cache_hit) {
+  const double t = tracer.now_us();
+  return obs::eval_span(/*trace_id=*/7, "test-strategy", point, objective,
+                        /*valid=*/true, cache_hit, t, tracer.now_us());
 }
 
 /// Tiny two-parameter space with a deterministic objective for driver tests.
@@ -53,10 +47,10 @@ TEST(SearchTracer, RecordsAndSortsByStartTime) {
   tracer.record(late);
   tracer.record(early);
 
-  const auto events = tracer.events();
+  const auto events = tracer.spans();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].point, "early");
-  EXPECT_EQ(events[1].point, "late");
+  EXPECT_EQ(events[0].detail, "early");
+  EXPECT_EQ(events[1].detail, "late");
   EXPECT_EQ(tracer.size(), 2u);
 
   tracer.clear();
@@ -73,41 +67,56 @@ TEST(SearchTracer, NowIsMonotonic) {
 }
 
 TEST(SearchTracer, JsonlRoundTripsEveryField) {
+  // One tracer holds evaluation spans and request spans; the single loader
+  // reads every field of both back.
   obs::SearchTracer tracer;
   auto e1 = make_event(tracer, "negrid=8 ntheta=22", 123.5, false);
   e1.strategy = "nelder-mead";
   e1.valid = false;
   auto e2 = make_event(tracer, "weird \"quoted\"\npoint", 0.25, true);
+  e2.parent_span = 0xfedcba9876543210ULL;
+  obs::SpanEvent req;
+  req.trace_id = 0x8000000000000001ULL;  // needs all 64 bits
+  req.span_id = 0x1ULL;
+  req.name = "server.handle";
+  req.detail = "REPORT+FETCH";
+  req.t_start_us = tracer.now_us();
+  req.t_end_us = req.t_start_us + 12.5;
   tracer.record(e1);
   tracer.record(e2);
+  tracer.record(req);
 
   std::ostringstream os;
   tracer.write_jsonl(os);
   std::istringstream is(os.str());
-  std::string line;
-  std::vector<obs::JsonValue> parsed;
-  while (std::getline(is, line)) {
-    auto v = obs::json_parse(line);
-    ASSERT_TRUE(v.has_value()) << line;
-    parsed.push_back(std::move(*v));
-  }
-  ASSERT_EQ(parsed.size(), 2u);
+  std::size_t skipped = 99;
+  const auto loaded = obs::load_trace_jsonl(is, &skipped);
+  EXPECT_EQ(skipped, 0u);
 
-  const auto events = tracer.events();
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const auto& v = parsed[i];
-    const auto& e = events[i];
-    EXPECT_EQ(v.string_or("strategy", ""), e.strategy);
-    EXPECT_EQ(v.string_or("point", ""), e.point);
-    if (e.valid) {
-      EXPECT_DOUBLE_EQ(v.number_or("objective", -1), e.objective);
-    }
-    EXPECT_EQ(v.find("valid")->as_bool(), e.valid);
-    EXPECT_EQ(v.find("cache_hit")->as_bool(), e.cache_hit);
-    EXPECT_DOUBLE_EQ(v.number_or("thread", -1), e.thread_lane);
-    EXPECT_DOUBLE_EQ(v.number_or("t_start_us", -1), e.t_start_us);
-    EXPECT_DOUBLE_EQ(v.number_or("t_end_us", -1), e.t_end_us);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(loaded.size(), spans.size());
+  ASSERT_EQ(loaded.size(), 3u);
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    const auto& a = spans[i];
+    const auto& b = loaded[i];
+    EXPECT_EQ(b.trace_id, a.trace_id);
+    EXPECT_EQ(b.span_id, a.span_id);
+    EXPECT_EQ(b.parent_span, a.parent_span);
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.detail, a.detail);
+    EXPECT_EQ(b.strategy, a.strategy);
+    EXPECT_DOUBLE_EQ(b.objective, a.objective);
+    EXPECT_EQ(b.valid, a.valid);
+    EXPECT_EQ(b.is_eval(), a.is_eval());
+    EXPECT_EQ(b.cache_hit(), a.cache_hit());
+    EXPECT_EQ(b.thread_lane, a.thread_lane);
+    // Loaded times sit on the writer's wall clock.
+    EXPECT_DOUBLE_EQ(b.t_start_us, tracer.wall_anchor_us() + a.t_start_us);
+    EXPECT_DOUBLE_EQ(b.t_end_us, tracer.wall_anchor_us() + a.t_end_us);
   }
+  EXPECT_EQ(loaded[0].name, "search.eval");
+  EXPECT_EQ(loaded[1].name, "search.cache");
+  EXPECT_EQ(loaded[2].trace_id, 0x8000000000000001ULL);
 }
 
 TEST(SearchTracer, InfiniteObjectiveSerializesAsNull) {
@@ -142,14 +151,16 @@ TEST(SearchTracer, ChromeTraceIsValidJsonWithLanesAndMetadata) {
     if (ph == "X") {
       ++complete;
       EXPECT_GE(ev.number_or("dur", -1), 0.0);
-      EXPECT_NE(ev.find("args"), nullptr);
+      ASSERT_NE(ev.find("args"), nullptr);
+      EXPECT_EQ(ev.find("args")->string_or("strategy", ""), "test-strategy");
     } else if (ph == "M") {
       ++metadata;
-      EXPECT_EQ(ev.string_or("name", ""), "thread_name");
+      const std::string name = ev.string_or("name", "");
+      EXPECT_TRUE(name == "thread_name" || name == "process_name") << name;
     }
   }
   EXPECT_EQ(complete, 2);
-  EXPECT_GE(metadata, 1);
+  EXPECT_GE(metadata, 2);  // the process and its one lane
 }
 
 TEST(SearchTracer, ConcurrentRecordersGetDistinctLanes) {
@@ -172,9 +183,9 @@ TEST(SearchTracer, ConcurrentRecordersGetDistinctLanes) {
   EXPECT_EQ(tracer.size(), static_cast<std::size_t>(kThreads) * kEvents);
   EXPECT_EQ(tracer.lanes(), static_cast<std::size_t>(kThreads));
   // Each recording thread kept one stable lane.
-  const auto events = tracer.events();
+  const auto events = tracer.spans();
   std::set<std::pair<std::string, std::uint32_t>> lanes_by_thread;
-  for (const auto& e : events) lanes_by_thread.insert({e.point, e.thread_lane});
+  for (const auto& e : events) lanes_by_thread.insert({e.detail, e.thread_lane});
   EXPECT_EQ(lanes_by_thread.size(), static_cast<std::size_t>(kThreads));
 }
 
@@ -195,14 +206,22 @@ TEST(SearchTracer, SerialOfflineDriverTracesEveryProposal) {
 
   EXPECT_EQ(tracer.size(), driver.history().size());
   EXPECT_EQ(tracer.lanes(), 1u);  // serial driver records from one thread
-  const auto events = tracer.events();
+  const auto events = tracer.spans();
+  ASSERT_FALSE(events.empty());
   std::size_t cached = 0;
+  std::set<std::uint64_t> span_ids;
   for (const auto& e : events) {
+    EXPECT_TRUE(e.is_eval()) << e.name;
     EXPECT_EQ(e.strategy, "random");
-    EXPECT_FALSE(e.point.empty());
+    EXPECT_FALSE(e.detail.empty());
     EXPECT_GE(e.t_end_us, e.t_start_us);
-    if (e.cache_hit) ++cached;
+    // One traced run is one trace; each evaluation is its own span.
+    EXPECT_NE(e.trace_id, 0u);
+    EXPECT_EQ(e.trace_id, events.front().trace_id);
+    span_ids.insert(e.span_id);
+    if (e.cache_hit()) ++cached;
   }
+  EXPECT_EQ(span_ids.size(), events.size());
   EXPECT_EQ(static_cast<int>(events.size() - cached), result.runs);
 }
 
@@ -234,6 +253,9 @@ TEST(SearchTracer, ParallelDriverProducesOneLanePerPoolThread) {
   // and (with 16 batches of 4 queued tasks) almost surely all of them.
   EXPECT_LE(tracer.lanes(), 4u);
   EXPECT_GE(tracer.lanes(), 2u);
+  // Pool workers record into the run's one trace.
+  const auto spans = tracer.spans();
+  for (const auto& e : spans) EXPECT_EQ(e.trace_id, spans.front().trace_id);
 
   // The Chrome trace export carries the same lanes.
   std::ostringstream os;

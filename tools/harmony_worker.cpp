@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     if (out) {
       tracer.write_jsonl(out);
       std::printf("harmony_worker: wrote %zu span(s) to %s\n",
-                  tracer.span_count(), trace_out.c_str());
+                  tracer.size(), trace_out.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
     }

@@ -1,23 +1,25 @@
 // report_gen: render a SearchTracer JSONL trace (plus an optional BenchReport
 // JSON) into a self-contained HTML session report — inline CSS and SVG, no
 // scripts — with the convergence curve, the per-lane evaluation timeline and
-// per-strategy cache statistics. CI runs it over the bench-smoke artifacts so
+// per-strategy cache statistics, drawn from the trace's evaluation spans
+// (search.eval / search.cache). CI runs it over the bench-smoke artifacts so
 // every run uploads a browsable convergence report.
 //
 //   report_gen --trace TRACE_x.jsonl [--bench BENCH_x.json]
 //              [--out report.html] [--title "..."]
 //
-// A second mode merges distributed-tracing span logs from several processes
-// (a server's --trace-out plus each harmony_worker's) into one Chrome
-// trace-viewer JSON, one pid per input file, timestamps aligned on each
-// file's wall-clock anchor — load the result at chrome://tracing or
+// A second mode merges the span logs of several processes (a server's
+// --trace-out plus each harmony_worker's, or any SearchTracer JSONL) into one
+// Chrome trace-viewer JSON, one pid per input file, timestamps aligned on
+// each file's wall-clock anchor — load the result at chrome://tracing or
 // https://ui.perfetto.dev and follow one request across processes by the
 // trace id in each slice's args:
 //
 //   report_gen --merge spans_server.jsonl spans_worker*.jsonl [--out t.json]
 //
-// With no --out, the document goes to stdout. Exit status: 0 on success,
-// 1 on unusable input (unreadable trace, or zero parseable events/spans).
+// Both modes read files with the one loader, obs::load_trace_jsonl. With no
+// --out, the document goes to stdout. Exit status: 0 on success, 1 on
+// unusable input (unreadable trace, or zero parseable evaluations/spans).
 
 #include <cstdio>
 #include <cstring>
@@ -48,32 +50,40 @@ std::string base_name(const std::string& path) {
   return pos == std::string::npos ? path : path.substr(pos + 1);
 }
 
+/// Load one SearchTracer JSONL file; nullopt (after a message) when it
+/// cannot be read.
+std::optional<std::vector<harmony::obs::SpanEvent>> load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read trace: %s\n", path.c_str());
+    return std::nullopt;
+  }
+  std::size_t skipped = 0;
+  auto spans = harmony::obs::load_trace_jsonl(in, &skipped);
+  if (skipped > 0) {
+    std::fprintf(stderr, "warning: skipped %zu unparseable line(s) in %s\n",
+                 skipped, path.c_str());
+  }
+  return spans;
+}
+
 int run_merge(const std::vector<std::string>& span_paths,
               const std::string& out_path) {
-  std::vector<std::pair<std::string, std::vector<harmony::obs::MergedSpan>>>
+  std::vector<std::pair<std::string, std::vector<harmony::obs::SpanEvent>>>
       inputs;
   std::size_t total = 0;
   for (const auto& path : span_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read spans: %s\n", path.c_str());
-      return 1;
-    }
-    std::size_t skipped = 0;
-    auto spans = harmony::obs::load_span_jsonl(in, &skipped);
-    if (skipped > 0) {
-      std::fprintf(stderr, "warning: skipped %zu unparseable line(s) in %s\n",
-                   skipped, path.c_str());
-    }
-    total += spans.size();
-    inputs.emplace_back(base_name(path), std::move(spans));
+    auto spans = load(path);
+    if (!spans) return 1;
+    total += spans->size();
+    inputs.emplace_back(base_name(path), std::move(*spans));
   }
   if (total == 0) {
     std::fprintf(stderr, "no spans in any input\n");
     return 1;
   }
   if (out_path.empty()) {
-    harmony::obs::write_merged_chrome_trace(std::cout, inputs);
+    harmony::obs::write_chrome_trace(std::cout, inputs);
     return 0;
   }
   std::ofstream out(out_path);
@@ -81,7 +91,7 @@ int run_merge(const std::vector<std::string>& span_paths,
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  harmony::obs::write_merged_chrome_trace(out, inputs);
+  harmony::obs::write_chrome_trace(out, inputs);
   std::fprintf(stderr, "wrote %s (%zu spans from %zu file(s))\n",
                out_path.c_str(), total, inputs.size());
   return 0;
@@ -136,19 +146,12 @@ int main(int argc, char** argv) {
   }
   if (trace_path.empty()) return usage(argv[0]);
 
-  std::ifstream trace_in(trace_path);
-  if (!trace_in) {
-    std::fprintf(stderr, "cannot read trace: %s\n", trace_path.c_str());
-    return 1;
-  }
-  std::size_t skipped = 0;
-  const auto events = harmony::obs::load_trace_jsonl(trace_in, &skipped);
-  if (skipped > 0) {
-    std::fprintf(stderr, "warning: skipped %zu unparseable trace line(s)\n",
-                 skipped);
-  }
-  if (events.empty()) {
-    std::fprintf(stderr, "no usable events in %s\n", trace_path.c_str());
+  const auto spans = load(trace_path);
+  if (!spans) return 1;
+  std::size_t evaluations = 0;
+  for (const auto& s : *spans) evaluations += s.is_eval() ? 1 : 0;
+  if (evaluations == 0) {
+    std::fprintf(stderr, "no evaluation spans in %s\n", trace_path.c_str());
     return 1;
   }
 
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
   }
 
   if (out_path.empty()) {
-    harmony::obs::write_html_report(std::cout, events,
+    harmony::obs::write_html_report(std::cout, *spans,
                                     bench ? &*bench : nullptr, opts);
     return 0;
   }
@@ -173,8 +176,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  harmony::obs::write_html_report(out, events, bench ? &*bench : nullptr, opts);
-  std::fprintf(stderr, "wrote %s (%zu events)\n", out_path.c_str(),
-               events.size());
+  harmony::obs::write_html_report(out, *spans, bench ? &*bench : nullptr, opts);
+  std::fprintf(stderr, "wrote %s (%zu evaluations)\n", out_path.c_str(),
+               evaluations);
   return 0;
 }
