@@ -11,7 +11,6 @@
 
 #include "core/harmony.hpp"
 #include "core/net.hpp"
-#include "engine/eval_cache.hpp"
 #include "minigs2/minigs2.hpp"
 #include "minipetsc/minipetsc.hpp"
 #include "minipop/minipop.hpp"
@@ -141,25 +140,6 @@ void BM_StringKeyedCacheLookupStore(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StringKeyedCacheLookupStore);
-
-// Single-threaded hit path through the concurrent cache: derive + shard pick
-// + probe, with the hash computed once at derivation.
-void BM_ConcurrentEvalCacheHit(benchmark::State& state) {
-  const auto space = hotpath_space();
-  harmony::engine::ConcurrentEvalCache cache(space);
-  harmony::Rng rng(9);
-  std::vector<harmony::Config> configs;
-  for (int i = 0; i < 256; ++i) {
-    configs.push_back(space.random_config(rng));
-    cache.insert(configs.back(), harmony::EvaluationResult{});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(configs[i++ & 255]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConcurrentEvalCacheHit);
 
 void BM_SpMV(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -11,6 +11,61 @@
 
 namespace harmony {
 
+BatchMemo::BatchMemo(const ParamSpace& space, bool enabled)
+    : space_(&space), enabled_(enabled), cache_(space) {}
+
+std::vector<EvalOutcome> BatchMemo::resolve(const std::vector<Config>& batch,
+                                            const MeasureFn& measure) {
+  if (!enabled_) return measure(batch);  // the controller checks the size
+
+  // Each element's PointKey is derived once and reused for the cache probe,
+  // the in-batch dedup table and the post-measurement store.
+  std::vector<EvalOutcome> out(batch.size());
+  std::vector<Config> misses;
+  first_.clear();
+  miss_keys_.clear();
+  miss_slot_.clear();
+  repeats_.clear();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    key_.assign(*space_, batch[i]);
+    if (const EvaluationResult* hit = cache_.lookup(key_)) {
+      out[i].result = *hit;
+      out[i].ran = false;
+      obs::count("engine.cache.hits");
+      continue;
+    }
+    const auto [first, inserted] = first_.try_emplace(key_);
+    if (!inserted) {
+      repeats_.emplace_back(i, *first);
+      ++coalesced_;
+      obs::count("engine.cache.coalesced");
+      continue;
+    }
+    *first = misses.size();
+    obs::count("engine.cache.misses");
+    miss_slot_.push_back(i);
+    miss_keys_.push_back(key_);
+    misses.push_back(batch[i]);
+  }
+
+  if (!misses.empty()) {
+    auto measured = measure(misses);
+    if (measured.size() != misses.size()) {
+      throw std::logic_error("BatchMemo: measure returned a wrong-sized batch");
+    }
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      EvalOutcome& o = out[miss_slot_[m]];
+      o = std::move(measured[m]);
+      if (o.ran) cache_.store(miss_keys_[m], o.result);
+    }
+  }
+  for (const auto& [slot, m] : repeats_) {
+    out[slot].result = out[miss_slot_[m]].result;
+    out[slot].ran = false;
+  }
+  return out;
+}
+
 SerialEvalBackend::SerialEvalBackend(const Evaluator& evaluate)
     : evaluate_(&evaluate) {
   if (!evaluate) throw std::invalid_argument("SerialEvalBackend: null evaluator");

@@ -12,8 +12,8 @@
 ///                             with restart/warm-up cost accounting
 ///                             (OfflineDriver facade).
 ///  * engine::PoolEvalBackend — dispatch a whole batch across a thread pool
-///                             with a concurrent, coalescing cache
-///                             (ParallelOfflineDriver facade).
+///                             behind a BatchMemo (ParallelOfflineDriver
+///                             facade).
 ///
 /// The controller is batch-native: it drives a BatchSearchStrategy, and any
 /// serial SearchStrategy rides along through SequentialBatchAdapter with
@@ -27,9 +27,11 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
+#include "core/flat_map.hpp"
 #include "core/history.hpp"
 #include "core/param_space.hpp"
 #include "core/point_key.hpp"
@@ -112,6 +114,48 @@ class EvalBackend {
   /// Backend-level cache statistics (0 for backends without a cache).
   [[nodiscard]] virtual std::size_t cache_hits() const { return 0; }
   [[nodiscard]] virtual std::size_t cache_coalesced() const { return 0; }
+};
+
+/// Measures the distinct misses of one batch: one outcome per element of
+/// `misses`, in order.
+using MeasureFn =
+    std::function<std::vector<EvalOutcome>(const std::vector<Config>& misses)>;
+
+/// The batch memo of the concurrent backends (engine::PoolEvalBackend,
+/// fleet::WorkerEvalBackend). EvalBackend::evaluate runs on the controller's
+/// thread and returns before the next batch starts, so the only duplicates
+/// that can be in flight together sit inside one batch; one pass over the
+/// batch before dispatch resolves them, with no lock and no future.
+///
+/// Cache hits and in-batch repeats are answered on the caller's thread
+/// (`ran == false`; the first copy in batch order is the one that runs), and
+/// the distinct misses reach `measure` exactly once. Fresh results are stored
+/// after `measure` returns, so a throwing `measure` leaves no entry. Disabled,
+/// the memo neither caches nor deduplicates: every element is measured.
+class BatchMemo {
+ public:
+  BatchMemo(const ParamSpace& space, bool enabled);
+
+  [[nodiscard]] std::vector<EvalOutcome> resolve(const std::vector<Config>& batch,
+                                                 const MeasureFn& measure);
+
+  /// Cross-batch cache hits.
+  [[nodiscard]] std::size_t hits() const noexcept { return cache_.hits(); }
+  /// In-batch repeats served by their batch's first copy.
+  [[nodiscard]] std::size_t coalesced() const noexcept { return coalesced_; }
+
+ private:
+  const ParamSpace* space_;
+  bool enabled_;
+  EvalCache cache_;
+  std::size_t coalesced_ = 0;
+
+  // Per-batch scratch, reused across batches.
+  PointKey key_;
+  FlatPointMap<std::size_t> first_;  ///< key -> index into the misses
+  std::vector<PointKey> miss_keys_;
+  std::vector<std::size_t> miss_slot_;                         ///< batch index
+  std::vector<std::pair<std::size_t, std::size_t>> repeats_;  ///< slot, miss
 };
 
 /// In-process evaluation of an Evaluator callback (the Tuner facade).

@@ -15,8 +15,7 @@ EvaluationResult EvaluationResult::infeasible() {
 void EvalCache::check_thread() const {
 #ifndef NDEBUG
   if (owner_ == std::thread::id{}) owner_ = std::this_thread::get_id();
-  // EvalCache is single-threaded by contract (see header); the concurrent
-  // path is engine::ConcurrentEvalCache.
+  // EvalCache is single-threaded by contract (see header).
   assert(owner_ == std::this_thread::get_id() &&
          "EvalCache used from multiple threads");
 #endif

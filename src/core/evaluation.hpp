@@ -117,8 +117,9 @@ using Evaluator = std::function<EvaluationResult(const Config&)>;
 ///
 /// Thread-safety contract: EvalCache is strictly single-threaded — lookup()
 /// is `const` yet mutates the hit/miss counters, with no synchronization.
-/// Every use must stay on one thread (Debug builds assert this); concurrent
-/// callers use engine::ConcurrentEvalCache instead.
+/// Every use must stay on one thread (Debug builds assert this). The
+/// concurrent backends resolve their batches against one on the controller's
+/// thread, before dispatch (BatchMemo in core/controller.hpp).
 class EvalCache {
  public:
   explicit EvalCache(const ParamSpace& space) : space_(&space) {}

@@ -5,15 +5,10 @@
 /// the evaluation caches. Compared to unordered_map<string, V> it performs
 /// no per-node allocation, probes contiguous memory (linear probing over a
 /// power-of-two slot array), and never rehashes a key — PointKey carries its
-/// hash, computed once at derivation.
+/// hash, computed once at derivation. Entries are never removed one by one,
+/// only all at once (clear()), so the table needs no tombstones.
 ///
-/// Deletion uses backward-shift (Robin-Hood style compaction) instead of
-/// tombstones, so a long-lived cache that drops failed in-flight entries
-/// (ConcurrentEvalCache's retry path) never degrades into tombstone scans.
-///
-/// V must be default-constructible and movable. Not thread-safe: callers
-/// that share a map across threads hold their own lock (the concurrent cache
-/// wraps one FlatPointMap per shard behind the shard mutex).
+/// V must be default-constructible and movable. Not thread-safe.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,28 +50,6 @@ class FlatPointMap {
     auto [val, inserted] = try_emplace(k);
     *val = std::move(v);
     return *val;
-  }
-
-  /// Remove `k`'s entry (backward-shift, no tombstone). Returns whether an
-  /// entry was removed.
-  bool erase(const PointKey& k) {
-    std::size_t hole = find_slot(k);
-    if (hole == npos) return false;
-    std::size_t j = (hole + 1) & mask_;
-    while (used_[j]) {
-      const std::size_t ideal = slots_[j].key.hash() & mask_;
-      // j's probe walk (ideal -> j) passes through the hole exactly when the
-      // hole is at least as close to ideal (cyclically) as j is.
-      if (((j - ideal) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = std::move(slots_[j]);
-        hole = j;
-      }
-      j = (j + 1) & mask_;
-    }
-    slots_[hole] = Slot{};  // release the key's heap (if any) and the value
-    used_[hole] = 0;
-    --size_;
-    return true;
   }
 
   /// Drop every entry but keep the slot array for reuse.

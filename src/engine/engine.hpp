@@ -13,7 +13,6 @@
 /// searches and Nelder–Mead get genuinely parallel batch implementations.
 
 #include "engine/batch_strategy.hpp"
-#include "engine/eval_cache.hpp"
 #include "engine/parallel_driver.hpp"
 #include "engine/surrogate.hpp"
 #include "engine/surrogate_backend.hpp"

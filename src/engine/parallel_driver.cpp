@@ -53,9 +53,8 @@ ParallelOfflineResult ParallelOfflineDriver::tune(BatchSearchStrategy& strategy,
     hooks.status_id = "parallel/" + std::to_string(next_id.fetch_add(1));
   }
 
-  // Memoization (and in-flight coalescing) lives in the pool backend's
-  // concurrent cache, so every batch element is dispatched to a worker; the
-  // controller therefore runs without its own cache.
+  // Memoization (cross-batch and in-batch) lives in the pool backend's
+  // BatchMemo, so the controller runs without its own cache.
   PoolEvalBackend backend(*space_, run, opts_.short_run_steps,
                           opts_.restart_overhead_s, opts_.pool_size,
                           static_cast<std::size_t>(

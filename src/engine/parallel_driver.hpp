@@ -10,9 +10,10 @@
 ///    submission, so `max_runs` is never exceeded even with a batch in
 ///    flight (cache hits may leave budget unused in a batch; it is recovered
 ///    in the next one);
-///  * a concurrent memoizing cache with in-flight deduplication — duplicate
-///    configurations inside one batch cost a single short run, and served
-///    entries are recorded with History's existing `cached` flag;
+///  * memoization on the controller's thread (BatchMemo) — a configuration
+///    already measured, or repeated inside one batch, costs no further short
+///    run (the first copy in batch order runs), and served entries are
+///    recorded with History's existing `cached` flag;
 ///  * serial-equivalence at pool size 1 — driving any serial strategy via
 ///    SequentialBatchAdapter with one worker produces a History identical to
 ///    OfflineDriver's (guarded by tests/engine/test_parallel_driver.cpp).
@@ -31,10 +32,10 @@
 namespace harmony::engine {
 
 /// Inherits the shared loop knobs (`use_cache`, `tracer`) from
-/// ControllerOptions. `use_cache` here memoizes *and* deduplicates in-flight
-/// evaluations (the backend's concurrent cache); tracer events are recorded
-/// from the worker threads, so an exported Chrome trace shows one lane per
-/// pool worker.
+/// ControllerOptions. `use_cache` here memoizes across batches *and* runs
+/// in-batch repeats once (the pool backend's BatchMemo); evaluation spans of
+/// the runs are recorded from the worker threads, so an exported Chrome
+/// trace shows one lane per pool worker.
 struct ParallelOfflineOptions : ControllerOptions {
   int short_run_steps = 10;       ///< paper: "typical benchmarking run of 10 time steps"
   int max_runs = 40;              ///< tuning-iteration budget (distinct runs)
@@ -49,8 +50,8 @@ struct ParallelOfflineResult {
   int runs = 0;                    ///< distinct short runs actually launched
   double total_tuning_cost_s = 0;  ///< restarts + warmups + measured regions
   bool strategy_converged = false;
-  std::size_t cache_hits = 0;       ///< completed-entry cache hits
-  std::size_t cache_coalesced = 0;  ///< waits coalesced onto in-flight runs
+  std::size_t cache_hits = 0;       ///< configurations measured in an earlier batch
+  std::size_t cache_coalesced = 0;  ///< in-batch repeats served by the first copy
   int batches = 0;                  ///< propose/report round trips
 };
 

@@ -2,7 +2,6 @@
 
 #include <future>
 #include <limits>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,59 +15,64 @@ PoolEvalBackend::PoolEvalBackend(const ParamSpace& space, const ShortRunFn& run,
     : run_(&run),
       steps_(steps),
       restart_overhead_s_(restart_overhead_s),
-      use_cache_(use_cache),
       batch_cap_(batch_cap),
-      cache_(space),
+      memo_(space, use_cache),
       pool_(static_cast<std::size_t>(pool_size)) {}
 
 std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& batch,
                                                    const Context& ctx) {
+  obs::SearchTracer* const tracer = ctx.tracer;
+  const double t_resolve_us = tracer != nullptr ? tracer->now_us() : 0.0;
+  auto out = memo_.resolve(
+      batch, [&](const std::vector<Config>& misses) { return run_all(misses, ctx); });
+  if (tracer != nullptr) {
+    // Hits and repeats were answered here, before dispatch.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (out[i].ran) continue;
+      tracer->record(obs::eval_span(ctx.trace_id, ctx.strategy_name,
+                                    ctx.space->format(batch[i]),
+                                    out[i].result.objective, out[i].result.valid,
+                                    /*cache_hit=*/true, t_resolve_us, t_resolve_us));
+    }
+  }
+  return out;
+}
+
+std::vector<EvalOutcome> PoolEvalBackend::run_all(const std::vector<Config>& misses,
+                                                  const Context& ctx) {
   std::vector<std::future<EvalOutcome>> futures;
-  futures.reserve(batch.size());
-  for (const auto& c : batch) {
-    futures.push_back(pool_.submit([this, &ctx, c]() {
+  futures.reserve(misses.size());
+  for (const auto& c : misses) {
+    futures.push_back(pool_.submit([this, &ctx, &c]() {
       // One tuning iteration == one representative short run (Section III):
       // stop, reconfigure, restart, warm up, measure. Every component of
       // that cost is charged to the tuning bill.
       obs::SearchTracer* const tracer = ctx.tracer;
       const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
-      double cost_s = 0.0;
-      const auto launch = [&]() {
-        const ShortRunResult r = (*run_)(c, steps_);
-        cost_s = restart_overhead_s_ + r.warmup_s + r.measured_s;
-        obs::observe("engine.short_run_s", r.warmup_s + r.measured_s);
-        EvaluationResult res;
-        res.valid = r.ok;
-        res.objective =
-            r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
-        res.metrics["warmup_s"] = r.warmup_s;
-        return res;
-      };
+      const ShortRunResult r = (*run_)(c, steps_);
+      obs::observe("engine.short_run_s", r.warmup_s + r.measured_s);
+      obs::count("engine.driver.runs");
       EvalOutcome t;
-      if (use_cache_) {
-        const auto o = cache_.evaluate(c, launch);
-        t.result = o.result;
-        t.ran = o.ran;
-      } else {
-        t.result = launch();
-        t.ran = true;
-      }
-      t.cost_s = t.ran ? cost_s : 0.0;
-      if (t.ran) obs::count("engine.driver.runs");
+      t.cost_s = restart_overhead_s_ + r.warmup_s + r.measured_s;
+      t.result.valid = r.ok;
+      t.result.objective =
+          r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
+      t.result.metrics["warmup_s"] = r.warmup_s;
       if (tracer != nullptr) {
         tracer->record(obs::eval_span(ctx.trace_id, ctx.strategy_name,
                                       ctx.space->format(c), t.result.objective,
-                                      t.result.valid, /*cache_hit=*/!t.ran,
+                                      t.result.valid, /*cache_hit=*/false,
                                       t_start_us, tracer->now_us()));
       }
       return t;
     }));
   }
+  // Tasks borrow `c` and `ctx`: let every one finish before the first
+  // failure unwinds them.
+  for (const auto& f : futures) f.wait();
   std::vector<EvalOutcome> out;
-  out.reserve(batch.size());
-  for (auto& f : futures) {
-    out.push_back(f.get());  // rethrows worker exceptions
-  }
+  out.reserve(misses.size());
+  for (auto& f : futures) out.push_back(f.get());  // rethrows the first failure
   return out;
 }
 

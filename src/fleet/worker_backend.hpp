@@ -1,23 +1,18 @@
 #pragma once
 
 /// \file worker_backend.hpp
-/// EvalBackend that measures candidates on the remote worker fleet: each
-/// batch is deduplicated against a ConcurrentEvalCache (first occurrence
-/// keyed by the canonical lattice key wins; repeats are served without a
-/// remote round trip) and the misses are dispatched through the fleet
-/// Dispatcher, which fans them out across every attached worker process.
-/// Plugging this into SearchController turns any strategy into a
-/// fleet-distributed search with no controller changes — the same seam the
-/// serial and thread-pool backends use.
+/// EvalBackend that measures candidates on the remote worker fleet: a
+/// BatchMemo resolves each batch (cache hits and in-batch repeats are served
+/// without a remote round trip) and the distinct misses are dispatched
+/// through the fleet Dispatcher, which fans them out across every attached
+/// worker process. Plugging this into SearchController turns any strategy
+/// into a fleet-distributed search with no controller changes — the same
+/// seam the serial and thread-pool backends use.
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
 #include "core/controller.hpp"
-#include "core/flat_map.hpp"
-#include "core/point_key.hpp"
-#include "engine/eval_cache.hpp"
 #include "fleet/dispatcher.hpp"
 
 namespace harmony::fleet {
@@ -28,8 +23,8 @@ struct WorkerBackendOptions {
   /// what the fleet can absorb at once.
   std::size_t max_batch = 0;
 
-  /// Memoize results across batches (the dedup-by-key cache). Disable for
-  /// benchmarks that want every proposal to hit the wire.
+  /// Memoize results across batches and run in-batch repeats once. Disable
+  /// for benchmarks that want every proposal to hit the wire.
   bool use_cache = true;
 };
 
@@ -43,22 +38,15 @@ class WorkerEvalBackend final : public EvalBackend {
                                                   const Context& ctx) override;
 
   [[nodiscard]] std::size_t concurrency() const override;
-  [[nodiscard]] std::size_t cache_hits() const override;
-  [[nodiscard]] std::size_t cache_coalesced() const override;
+  [[nodiscard]] std::size_t cache_hits() const override { return memo_.hits(); }
+  [[nodiscard]] std::size_t cache_coalesced() const override {
+    return memo_.coalesced();
+  }
 
  private:
   Dispatcher* dispatcher_;
-  const ParamSpace* space_;
-  WorkerBackendOptions opts_;
-  engine::ConcurrentEvalCache cache_;
-  std::atomic<std::size_t> coalesced_{0};  ///< in-batch duplicate proposals
-
-  // Per-batch scratch, reused across evaluate() calls so the steady-state
-  // dedup pass allocates nothing. evaluate() is called from the controller
-  // thread only (the EvalBackend contract), so unsynchronized reuse is safe.
-  PointKey scratch_key_;
-  FlatPointMap<std::size_t> first_miss_;    ///< key -> index into misses
-  std::vector<PointKey> miss_keys_;         ///< keys of dispatched misses
+  std::size_t max_batch_;
+  BatchMemo memo_;
 };
 
 }  // namespace harmony::fleet

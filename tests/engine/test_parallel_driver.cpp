@@ -151,7 +151,7 @@ TEST(ParallelOfflineDriver, BudgetNeverExceededWithWideBatches) {
 
 TEST(ParallelOfflineDriver, DuplicateConfigsInBatchRunOnce) {
   // A tiny space with a wide random batch: duplicates inside one batch must
-  // coalesce onto a single short run (or hit the completed entry).
+  // share a single short run, and later batches hit the completed entry.
   const auto s = grid2d(3, 2);
   ParallelOfflineOptions po;
   po.max_runs = 36;

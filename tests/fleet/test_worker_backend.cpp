@@ -1,8 +1,9 @@
 // WorkerEvalBackend tests through a real Dispatcher with an in-test
 // auto-responding worker (the push function evaluates the candidate and
 // feeds the RESULT straight back): cross-batch caching, in-batch
-// coalescing, concurrency sizing, and a full SearchController run whose
-// trajectory must match an in-process serial reference exactly.
+// coalescing (and neither with the cache off), concurrency sizing, and a
+// full SearchController run whose trajectory must match an in-process
+// serial reference exactly.
 
 #include "fleet/worker_backend.hpp"
 
@@ -115,6 +116,30 @@ TEST(WorkerEvalBackend, CachesAcrossBatchesAndCoalescesWithin) {
   EXPECT_DOUBLE_EQ(out2[1].result.objective, out1[0].result.objective);
   EXPECT_EQ(w.evals->load(), 2);
   EXPECT_EQ(backend.cache_hits(), 2u);
+}
+
+TEST(WorkerEvalBackend, UncachedSendsEveryProposalOverTheWire) {
+  const auto space = make_space();
+  fleet::Dispatcher d(space);
+  EchoWorker w;
+  w.attach(d, 4);
+  fleet::WorkerBackendOptions opts;
+  opts.use_cache = false;
+  fleet::WorkerEvalBackend backend(d, space, opts);
+
+  Config a = space.default_config();
+  space.set(a, "x", std::int64_t{1});
+  Config b = space.default_config();
+  space.set(b, "x", std::int64_t{2});
+
+  harmony::EvalBackend::Context ctx;
+  ctx.space = &space;
+  const auto out = backend.evaluate({a, b, a}, ctx);
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& o : out) EXPECT_TRUE(o.ran);
+  EXPECT_EQ(w.evals->load(), 3);
+  EXPECT_EQ(backend.cache_coalesced(), 0u);
+  EXPECT_EQ(backend.cache_hits(), 0u);
 }
 
 TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
